@@ -37,7 +37,7 @@ from .polys import (IntPolynomial, RationalFn, poly_divexact, poly_gcd,
                     taylor_shift)
 from .spectra import (Spectrum, charpoly_A_corona, charpoly_L_corona,
                       charpoly_Q_corona, check_cospectral, corona_spectrum,
-                      eig_symmetric, jacobi_eigenvalues, real_roots,
+                      eig_symmetric, real_roots,
                       spectrum_A_net_regular, spectrum_A_star,
                       spectrum_L_coregular, spectrum_L_star,
                       spectrum_Q_coregular, spectrum_Q_star)
@@ -71,7 +71,7 @@ __all__ = [
     "taylor_shift",
     "Spectrum", "charpoly_A_corona", "charpoly_L_corona",
     "charpoly_Q_corona", "check_cospectral", "corona_spectrum",
-    "eig_symmetric", "jacobi_eigenvalues", "real_roots",
+    "eig_symmetric", "real_roots",
     "spectrum_A_net_regular", "spectrum_A_star", "spectrum_L_coregular",
     "spectrum_L_star", "spectrum_Q_coregular", "spectrum_Q_star",
     "VerifyConfig", "VerifyReport", "run_all",

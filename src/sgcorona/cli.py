@@ -111,19 +111,25 @@ def _cmd_spectrum(args) -> int:
         print(f"sgcorona spectrum: {exc}", file=sys.stderr)
         return 2
     cross_method = "theorem" if method == "numeric" else "numeric"
-    other = corona_spectrum(g1, g2, kind, cross_method)
+    cross = {"method": cross_method, "ran": True, "reason": None}
     discrepancies = []
-    if not sp.isclose(other, 1e-6):
-        discrepancies.append({
-            "check": f"{cross_method}-agreement",
-            "detail": f"{sp} vs {other}",
-        })
+    try:
+        other = corona_spectrum(g1, g2, kind, cross_method)
+    except ValueError as exc:
+        cross.update(ran=False, reason=str(exc))
+    else:
+        if not sp.isclose(other, 1e-6):
+            discrepancies.append({
+                "check": f"{cross_method}-agreement",
+                "detail": f"{sp} vs {other}",
+            })
     doc = {
         "command": "spectrum",
         "matrix": args.matrix,
         "method": method,
         "order": sp.order,
         "spectrum": _spectrum_rows(sp),
+        "cross_check": cross,
         "discrepancies": discrepancies,
         "inputs": _inputs(args.in1, args.in2),
     }
@@ -272,6 +278,16 @@ def _cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sgcorona",
@@ -323,9 +339,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_cospectral)
 
     p = sub.add_parser("verify", help="run the self-verification suite")
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_positive_int, default=200)
     p.add_argument("--seed", type=int, default=20260814)
-    p.add_argument("--max-n", type=int, default=5)
+    p.add_argument("--max-n", type=_positive_int, default=5)
     p.set_defaults(fn=_cmd_verify)
     return parser
 

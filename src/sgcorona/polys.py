@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import numpy as np
-
 __all__ = [
     "IntPolynomial",
     "RationalFn",
@@ -412,16 +410,29 @@ class RationalFn:
 
 
 # ---------------------------------------------------------------------------
-# real root isolation
+# real root isolation: Descartes bisection (Collins & Akritas 1976)
 
 
-def _cauchy_bound(p: IntPolynomial) -> Fraction:
-    """A rational B with every root of p strictly inside (-B, B)."""
-    lc = abs(p.lc)
-    if p.degree < 1:
-        return Fraction(1)
-    top = max(abs(c) for c in p.coeffs[:-1])
-    return Fraction(2) + Fraction(top, lc)
+def _root_exponent(p: IntPolynomial) -> int:
+    """A k >= 1 with every root of p strictly inside (-2**k, 2**k).
+
+    Fujiwara's bound 2 * max |a_(d-i) / a_d| ** (1/i) with each ratio
+    rounded up to a power of two; the rounding makes it strict."""
+    d, lc_bits = p.degree, abs(p.lc).bit_length()
+    e = 0
+    for i in range(1, d + 1):
+        excess = abs(p.coeffs[d - i]).bit_length() - lc_bits + 1
+        e = max(e, -(-excess // i))
+    return e + 1
+
+
+def _descartes(q: IntPolynomial) -> int:
+    """Sign variations of (x+1)**d * q(1/(x+1)).  This bounds the number
+    of roots of q in (0, 1) from above with the same parity, so 0 and 1
+    are exact counts."""
+    r = taylor_shift(IntPolynomial(q.coeffs[::-1]), 1)
+    signs = [c > 0 for c in r.coeffs if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def _sign_at(p: IntPolynomial, x: Fraction) -> int:
@@ -452,147 +463,58 @@ def _bisect(p: IntPolynomial, lo: Fraction, hi: Fraction, slo: int,
     return float((lo + hi) / 2)
 
 
-def _approx_roots(f: IntPolynomial):
-    # float approximations of the roots; None when the companion-matrix
-    # route is unusable (coefficient spread too wide, or no convergence)
-    scale = max(abs(c) for c in f.coeffs)
-    cs = [float(Fraction(c, scale)) for c in reversed(f.coeffs)]
-    if cs[0] == 0.0 or not all(math.isfinite(c) for c in cs):
-        return None
-    try:
-        rts = np.roots(cs)
-    except np.linalg.LinAlgError:
-        return None
-    return sorted(float(r.real) for r in rts)
-
-
-def _deflate_at(f: IntPolynomial, root: Fraction) -> IntPolynomial:
-    num, den = root.numerator, root.denominator
-    return poly_divexact(f, IntPolynomial((-num, den)))
-
-
 def _roots_squarefree(f: IntPolynomial, tol: Fraction):
     """All real roots of a squarefree polynomial, as floats.
 
-    Fast path: approximate roots give candidate separators whose exact
-    signs certify the isolation.  If the certificate does not account
-    for every root, fall back to exact Sturm-chain isolation, which
-    also detects genuinely non-real roots.
+    The roots are mapped into (0, 1) and the interval is halved
+    recursively: a Descartes count of 0 drops a piece, a count of 1
+    isolates one root, which is then refined by bisection.  A root on a
+    cut point shows as a zero constant term of the right half and is
+    reported exactly; Descartes counts cover open intervals, so neither
+    half counts it again.  Non-real roots are never found, which the
+    caller sees as a shortfall against the degree.
     """
-    d = f.degree
-    if d <= 0:
+    if f.degree <= 0:
         return []
-    if d == 1:
+    if f.degree == 1:
         return [float(Fraction(-f.coeffs[0], f.coeffs[1]))]
-    approx = _approx_roots(f)
-    if approx is None:
-        return _roots_sturm(f, tol)
-    bound = _cauchy_bound(f)
-    seps = [-bound]
-    prev = None
-    for r in approx:
-        if prev is not None and r - prev > 1e-12:
-            mid = Fraction(prev) + Fraction(r - prev) / 2
-            if -bound < mid < bound:
-                seps.append(mid)
-        prev = r
-    seps.append(bound)
-    signs = []
-    for s in seps:
-        sg = _sign_at(f, s)
-        if sg == 0:
-            # the separator itself is a (rational) root: peel and redo
-            rest = _deflate_at(f, s)
-            return sorted([float(s)] + _roots_squarefree(rest, tol))
-        signs.append(sg)
-    changes = sum(
-        1 for i in range(len(seps) - 1) if signs[i] * signs[i + 1] < 0
-    )
-    if changes != d:
-        return _roots_sturm(f, tol)
-    roots = []
-    for i in range(len(seps) - 1):
-        if signs[i] * signs[i + 1] < 0:
-            roots.append(_bisect(f, seps[i], seps[i + 1], signs[i], tol))
-    return roots
+    k = _root_exponent(f)
 
+    def point(c: int, j: int) -> Fraction:
+        # cut point c of (-2**k, 2**k) split into 2**j equal pieces
+        return Fraction(c << (k + 1), 1 << j) - (1 << k)
 
-def _fstrip(cs):
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return cs
-
-
-def _frem(a, b):
-    # remainder of a mod b over Fraction lists (low degree first)
-    r = list(a)
-    db = len(b) - 1
-    while len(r) - 1 >= db:
-        k = len(r) - 1 - db
-        q = r[-1] / b[-1]
-        for i, bc in enumerate(b):
-            r[i + k] -= q * bc
-        r.pop()
-        _fstrip(r)
-    return r
-
-
-def _sturm_chain(f: IntPolynomial):
-    p0 = [Fraction(c) for c in f.coeffs]
-    p1 = _fstrip([Fraction(i * c) for i, c in enumerate(f.coeffs)][1:])
-    chain = [p0, p1]
-    while len(chain[-1]) - 1 > 0:
-        r = [-c for c in _frem(chain[-2], chain[-1])]
-        if not r:
-            raise ValueError("Sturm chain collapsed; input not squarefree")
-        chain.append(r)
-    return chain
-
-
-def _feval_sign(cs, x: Fraction) -> int:
-    val = Fraction(0)
-    for c in reversed(cs):
-        val = val * x + c
-    return (val > 0) - (val < 0)
-
-
-def _variations(chain, x: Fraction) -> int:
-    signs = [s for s in (_feval_sign(cs, x) for cs in chain) if s != 0]
-    return sum(1 for i in range(len(signs) - 1) if signs[i] != signs[i + 1])
-
-
-def _roots_sturm(f: IntPolynomial, tol: Fraction):
-    d = f.degree
-    chain = _sturm_chain(f)
-    bound = _cauchy_bound(f)
-    va = _variations(chain, -bound)
-    vb = _variations(chain, bound)
-    if va - vb != d:
-        raise ValueError(
-            f"polynomial of degree {d} has only {va - vb} real roots; "
-            "expected a real-rooted input"
-        )
-    roots = []
-    stack = [(-bound, bound, va, vb)]
+    # q(t) = f(2**(k+1) t - 2**k) has the roots of f, mapped into (0, 1)
+    q = taylor_shift(f, -(1 << k))
+    q = IntPolynomial([a << (k + 1) * i for i, a in enumerate(q.coeffs)])
+    exact, isolated = [], []
+    # (c, j, q): the roots of q in (0, 1) are those of f between
+    # point(c, j) and point(c + 1, j)
+    stack = [(0, 0, q)]
     while stack:
-        lo, hi, vlo, vhi = stack.pop()
-        cnt = vlo - vhi
-        if cnt == 0:
+        c, j, q = stack.pop()
+        count = _descartes(q)
+        if count == 1:
+            isolated.append((c, j))
+        if count <= 1:
             continue
-        if cnt == 1:
-            slo = _sign_at(f, lo)
-            shi = _sign_at(f, hi)
-            assert slo * shi < 0
-            roots.append(_bisect(f, lo, hi, slo, tol))
-            continue
-        mid = (lo + hi) / 2
-        if _sign_at(f, mid) == 0:
-            # rational root on the cut: peel it off and restart clean
-            rest = _deflate_at(f, mid)
-            return sorted([float(mid)] + _roots_squarefree(rest, tol))
-        vm = _variations(chain, mid)
-        stack.append((lo, mid, vlo, vm))
-        stack.append((mid, hi, vm, vhi))
+        d = q.degree
+        left = IntPolynomial([a << (d - i) for i, a in enumerate(q.coeffs)])
+        right = taylor_shift(left, 1)
+        if right[0] == 0:
+            exact.append(point(2 * c + 1, j + 1))
+        stack.append((2 * c, j + 1, left))
+        stack.append((2 * c + 1, j + 1, right))
+    # refine on f with its cut-point roots divided out, so that no end
+    # of an isolating interval is a root
+    rest = f
+    for r in exact:
+        rest = poly_divexact(rest, IntPolynomial((-r.numerator,
+                                                  r.denominator)))
+    roots = [float(r) for r in exact]
+    for c, j in isolated:
+        lo, hi = point(c, j), point(c + 1, j)
+        roots.append(_bisect(rest, lo, hi, _sign_at(rest, lo), tol))
     return sorted(roots)
 
 

@@ -1,9 +1,11 @@
 """Spectra of corona products, three independent ways.
 
-1. numeric: build the corona, diagonalize its matrix with the Jacobi
-   eigensolver below (the floating-point oracle).
+1. numeric: build the corona and diagonalize its matrix with LAPACK
+   (numpy's eigvalsh), the floating-point oracle.
 2. theorem: assemble the characteristic polynomial exactly from the
-   factors' data and isolate its real roots.  With the copy factor's
+   factors' data and isolate its real roots by exact integer Descartes
+   bisection (polys.real_root_pairs), so this route shares no floating
+   point with the numeric one.  With the copy factor's
    coronal p/q in lowest terms and cofactor d = charpoly/q, the three
    assemblies are
 
@@ -35,7 +37,6 @@ from .polys import IntPolynomial, poly_matrix_det, real_root_pairs, taylor_shift
 __all__ = [
     "Spectrum",
     "eig_symmetric",
-    "jacobi_eigenvalues",
     "real_roots",
     "charpoly_A_corona",
     "charpoly_Q_corona",
@@ -131,57 +132,22 @@ class Spectrum:
         return f"Spectrum({list(self.pairs)})"
 
 
-def jacobi_eigenvalues(m, tol: float = 1e-12,
-                       max_sweeps: int = 100) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps two-sided plane rotations over all off-diagonal positions,
-    each chosen to zero its target entry, until the off-diagonal
-    Frobenius norm drops below tol times the matrix norm.  Converges
-    quadratically once the matrix is nearly diagonal.
-    """
-    a = np.array(m, dtype=np.float64)
+def _eigvalsh(m) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric matrix.  eigvalsh reads only
+    one triangle, so squareness and symmetry are checked here."""
+    a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    n = a.shape[0]
-    if n == 0:
-        return np.zeros(0)
-    scale = np.max(np.abs(a)) if n else 0.0
+    scale = np.max(np.abs(a), initial=0.0)
     if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * (1.0 + scale)):
         raise ValueError("matrix must be symmetric")
-    a = (a + a.T) / 2.0
-    norm = np.linalg.norm(a)
-    if norm == 0.0:
-        return np.zeros(n)
-    for _ in range(max_sweeps):
-        off = math.sqrt(2.0) * np.linalg.norm(np.tril(a, -1))
-        if off <= tol * norm:
-            return np.sort(np.diagonal(a))
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta)
-                                                 + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                colp = a[:, p].copy()
-                colq = a[:, q].copy()
-                a[:, p] = c * colp - s * colq
-                a[:, q] = s * colp + c * colq
-                rowp = a[p, :].copy()
-                rowq = a[q, :].copy()
-                a[p, :] = c * rowp - s * rowq
-                a[q, :] = s * rowp + c * rowq
-                a[p, q] = a[q, p] = 0.0
-    raise RuntimeError(f"Jacobi sweep did not converge in {max_sweeps} sweeps")
+    return np.linalg.eigvalsh(a)
 
 
 def eig_symmetric(m, cluster_tol: float = CLUSTER_TOL) -> Spectrum:
-    """Numeric spectrum of a symmetric matrix."""
-    return Spectrum.from_values(jacobi_eigenvalues(m), cluster_tol)
+    """Numeric spectrum of a symmetric matrix; raises ValueError when m
+    is not square and symmetric."""
+    return Spectrum.from_values(_eigvalsh(m), cluster_tol)
 
 
 def real_roots(p: IntPolynomial) -> Spectrum:
@@ -438,11 +404,14 @@ def corona_spectrum(g1: SignedGraph, g2: SignedGraph, kind: str,
     method 'numeric' diagonalizes the built corona, 'theorem' isolates
     the roots of the exactly assembled characteristic polynomial, and
     'closed_form' (alias 'proposition') applies the per-family
-    formulas, raising ValueError when no family matches.
+    formulas, raising ValueError when no family matches.  Every method
+    raises ValueError when a factor has no nodes.
     """
     kind = kind.upper()
     if kind not in ("A", "L", "Q"):
         raise ValueError(f"unknown matrix kind {kind!r}")
+    if g1.n < 1 or g2.n < 1:
+        raise ValueError("both factors need at least one node")
     if method == "numeric":
         cor, _ = neighbourhood_corona(g1, g2)
         return eig_symmetric(matrix(cor, kind))
@@ -462,6 +431,6 @@ def check_cospectral(m1, m2, tol: float = 1e-8) -> bool:
     b = np.asarray(m2)
     if a.shape != b.shape:
         return False
-    va = jacobi_eigenvalues(a)
-    vb = jacobi_eigenvalues(b)
+    va = _eigvalsh(a)
+    vb = _eigvalsh(b)
     return bool(np.all(np.abs(va - vb) <= tol))

@@ -46,6 +46,7 @@ def test_spectrum_command_all_methods(files, capsys):
         doc = _doc(capsys)
         assert doc["order"] == 9
         assert doc["discrepancies"] == []
+        assert doc["cross_check"]["ran"] is True
         got = [(row["value"], row["multiplicity"])
                for row in doc["spectrum"]]
         assert len(got) == len(want)
@@ -60,6 +61,43 @@ def test_spectrum_out_of_family_is_usage_error(files, capsys, tmp_path):
     code = run(["spectrum", "--matrix", "a", "--method", "proposition",
                 files["p2"], str(path)])
     assert code == 2
+
+
+def test_spectrum_skipped_cross_check(files, capsys, tmp_path):
+    # Q on a non-regular base: numeric runs, the theorem cross-check
+    # cannot, and the document says so instead of a traceback
+    path = tmp_path / "path4.sg"
+    path.write_text("4\n0 1 +\n1 2 +\n2 3 -\n", encoding="utf-8")
+    assert run(["spectrum", "--matrix", "q", "--method", "numeric",
+                str(path), files["p2"]]) == 0
+    doc = _doc(capsys)
+    assert doc["order"] == 12
+    assert doc["discrepancies"] == []
+    cross = doc["cross_check"]
+    assert cross["method"] == "theorem" and cross["ran"] is False
+    assert "regular" in cross["reason"]
+
+
+@pytest.mark.parametrize("method", ["numeric", "theorem", "proposition"])
+def test_spectrum_zero_node_factor(files, capsys, tmp_path, method):
+    empty = tmp_path / "empty.sg"
+    empty.write_text("0\n", encoding="utf-8")
+    for pair in ((str(empty), files["p2"]), (files["p2"], str(empty))):
+        assert run(["spectrum", "--matrix", "a", "--method", method,
+                    *pair]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "at least one node" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--max-n", "0"], ["--trials", "-1"],
+                                  ["--trials", "0"], ["--max-n", "x"]])
+def test_verify_rejects_bad_counts(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
 
 
 def test_balance_command(files, capsys):

@@ -1,11 +1,17 @@
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from sgcorona.core import matrix, new_signed_graph
+from sgcorona.corona import neighbourhood_corona
 from sgcorona.polys import (IntPolynomial, RationalFn, poly_divexact,
                             poly_gcd, poly_matrix_det, real_root_pairs,
                             squarefree_factors, taylor_shift)
+from sgcorona.spectra import charpoly_A_corona
 
 X = IntPolynomial.x()
 
@@ -115,6 +121,76 @@ def test_real_roots_zero_root():
     assert abs(got[0] + 1) < 1e-10
     assert abs(got[1]) < 1e-10
     assert abs(got[2] - 1) < 1e-10
+
+
+# A corona whose A-characteristic polynomial is squarefree of degree 56,
+# with two eigenvalues only 1.4e-4 apart.
+D56_G1 = (8, [(0, 1, 1), (0, 4, -1), (1, 5, -1), (1, 6, 1), (1, 7, -1),
+              (2, 7, 1), (3, 4, -1), (3, 5, -1), (3, 7, 1), (4, 6, 1),
+              (5, 7, -1)])
+D56_G2 = (6, [(0, 1, 1), (0, 3, 1), (0, 4, 1), (0, 5, 1), (1, 2, -1),
+              (1, 3, 1), (1, 5, 1), (2, 5, 1), (4, 5, 1)])
+
+
+def test_isolation_degree_56_pair():
+    g1, g2 = new_signed_graph(*D56_G1), new_signed_graph(*D56_G2)
+    pairs = real_root_pairs(charpoly_A_corona(g1, g2))
+    assert [m for _, m in pairs] == [1] * 56
+    cor, _ = neighbourhood_corona(g1, g2)
+    oracle = np.linalg.eigvalsh(matrix(cor, "A").astype(float))
+    assert np.max(np.abs(np.array([r for r, _ in pairs]) - oracle)) < 1e-9
+
+
+def test_isolation_roots_on_dyadic_grid():
+    p = IntPolynomial((1,))
+    for k in range(1, 21):
+        p = p * (X - k)
+    assert real_root_pairs(p) == [(float(k), 1) for k in range(1, 21)]
+
+
+def test_isolation_separates_close_rational_roots():
+    big = 10**7
+    pairs = real_root_pairs((big * X - big) * (big * X - big - 1))
+    assert [m for _, m in pairs] == [1, 1]
+    assert abs(pairs[0][0] - 1.0) < 1e-13
+    assert abs(pairs[1][0] - (1.0 + 1e-7)) < 1e-13
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 60), st.integers(-300, 300)),
+                min_size=1, max_size=9),
+       st.integers(1, 50))
+def test_isolation_linear_products(factors, c):
+    roots = sorted({Fraction(b, a) for a, b in factors})
+    p = IntPolynomial((1,))
+    for r in roots:
+        p = p * IntPolynomial((-r.numerator, r.denominator))
+    got = real_root_pairs(p)
+    assert [m for _, m in got] == [1] * len(roots)
+    assert all(abs(g - float(r)) < 1e-12 for (g, _), r in zip(got, roots))
+    with pytest.raises(ValueError):
+        real_root_pairs(p * (X**2 + c))
+
+
+def test_isolation_against_sympy_oracle():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(11)
+    for _ in range(12):
+        n = rng.randint(1, 12)
+        mat = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                mat[i][j] = mat[j][i] = rng.randint(-3, 3)
+        lam = sympy.Symbol("lam")
+        cp = sympy.Poly(sympy.Matrix(mat).charpoly(lam).as_expr(), lam)
+        oracle = {}
+        for r in cp.real_roots():
+            v = float(r.evalf(30))
+            oracle[v] = oracle.get(v, 0) + 1
+        got = real_root_pairs(IntPolynomial(cp.all_coeffs()[::-1]))
+        assert [m for _, m in got] == [oracle[v] for v in sorted(oracle)]
+        assert all(abs(g - v) < 1e-12
+                   for (g, _), v in zip(got, sorted(oracle)))
 
 
 def test_rational_fn_reduces():
