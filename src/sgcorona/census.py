@@ -5,14 +5,12 @@ statistics of the two factors.  Every formula is validated against
 direct enumeration on the built product by the test suite and the
 verify harness.
 
-Two aggregation styles exist for the cross-edge terms.  The primary
-functions classify a base edge at an endpoint u by sign(e) * mark(u),
-which is exactly the sign law the corona construction uses, so they
-match enumeration on every input.  The *_by_marks variants aggregate
-by the endpoint marks alone; the two coincide precisely when every
-base edge satisfies sign(uv) = mark(u) * mark(v), and the variants are
-kept because they are the natural first guess and make deviations easy
-to demonstrate (see the verify harness's deviation records).
+All cross terms follow the sign law of the corona construction: a
+cross edge from base node u into the copy owned by its neighbour b,
+landing on a copy node of mark t, has sign sign(ub) * mark1(b) * t.
+So the formulas classify each (base edge, owner) incidence by
+sign(e) * mark(owner), never by the endpoint marks alone; the two
+agree only when every base edge has sign(uv) = mark(u) * mark(v).
 """
 
 from __future__ import annotations
@@ -21,26 +19,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SignedGraph, canonical_marking, degree_profile, is_balanced
+from .core import SignedGraph, canonical_marking, is_balanced
 
 __all__ = [
     "EdgeCensus",
     "TriadCensus",
-    "MarkDegreeSummary",
     "PatternCounts",
-    "EdgeMarkBreakdown",
     "edge_census_direct",
     "edge_census_formula",
-    "edge_census_by_marks",
     "triad_census_direct",
     "triad_census_formula",
-    "triad_census_by_marks",
     "total_triads_formula",
-    "mark_degree_summary",
     "edge_mark_breakdown",
     "inconsistent_edges",
     "corona_balance_criterion",
-    "corona_balance_by_marks",
 ]
 
 
@@ -64,19 +56,6 @@ class TriadCensus:
     def total(self) -> int:
         return self.t0 + self.t1 + self.t2 + self.t3
 
-    def as_tuple(self):
-        return (self.t0, self.t1, self.t2, self.t3)
-
-
-@dataclass(frozen=True)
-class MarkDegreeSummary:
-    """Node and degree totals split by canonical mark."""
-
-    n_plus: int
-    n_minus: int
-    b_plus: int
-    b_minus: int
-
 
 @dataclass(frozen=True)
 class PatternCounts:
@@ -91,50 +70,22 @@ class PatternCounts:
         return self.pp + self.pm + self.mm
 
 
-@dataclass(frozen=True)
-class EdgeMarkBreakdown:
-    """Edges of one sign split by endpoint-mark pattern, plain and
-    weighted by the number of common neighbours of the endpoints."""
-
-    plain: PatternCounts
-    weighted: PatternCounts
-
-
 def edge_census_direct(g: SignedGraph) -> EdgeCensus:
     pos = int(np.count_nonzero(g.adj == 1)) // 2
     neg = int(np.count_nonzero(g.adj == -1)) // 2
     return EdgeCensus(total=pos + neg, positive=pos, negative=neg)
 
 
-def mark_degree_summary(g: SignedGraph) -> MarkDegreeSummary:
-    mu = canonical_marking(g)
-    deg = degree_profile(g).deg
-    plus = mu > 0
-    return MarkDegreeSummary(
-        n_plus=int(np.count_nonzero(plus)),
-        n_minus=int(np.count_nonzero(~plus)),
-        b_plus=int(deg[plus].sum()),
-        b_minus=int(deg[~plus].sum()),
-    )
-
-
-def edge_mark_breakdown(g: SignedGraph, sign: int) -> EdgeMarkBreakdown:
+def edge_mark_breakdown(g: SignedGraph, sign: int) -> PatternCounts:
     """Edges with the given sign, split by their endpoint marks."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     mu = canonical_marking(g)
-    a = g.adj
-    plain = [0, 0, 0]
-    weighted = [0, 0, 0]
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if a[u, v] != sign:
-                continue
-            idx = int(mu[u] < 0) + int(mu[v] < 0)
-            plain[idx] += 1
-            weighted[idx] += int(np.count_nonzero((a[u] != 0) & (a[v] != 0)))
-    return EdgeMarkBreakdown(plain=PatternCounts(*plain),
-                             weighted=PatternCounts(*weighted))
+    counts = [0, 0, 0]
+    for u, v, s in g.edges():
+        if s == sign:
+            counts[int(mu[u] < 0) + int(mu[v] < 0)] += 1
+    return PatternCounts(*counts)
 
 
 def _owner_sign_split(g: SignedGraph):
@@ -165,22 +116,6 @@ def edge_census_formula(g1: SignedGraph, g2: SignedGraph) -> EdgeCensus:
     bp, bm = _owner_sign_split(g1)
     pos = e1.positive + g1.n * e2.positive + bp * n2p + bm * n2m
     neg = e1.negative + g1.n * e2.negative + bp * n2m + bm * n2p
-    return EdgeCensus(total=pos + neg, positive=pos, negative=neg)
-
-
-def edge_census_by_marks(g1: SignedGraph, g2: SignedGraph) -> EdgeCensus:
-    """Variant that aggregates cross edges by the base endpoint marks
-    (B+ = sum of degrees over plus-marked nodes, etc.).  Agrees with
-    edge_census_formula iff every g1 edge has sign equal to the product
-    of its endpoint marks."""
-    e1 = edge_census_direct(g1)
-    e2 = edge_census_direct(g2)
-    mu2 = canonical_marking(g2)
-    n2p = int(np.count_nonzero(mu2 > 0))
-    n2m = g2.n - n2p
-    s1 = mark_degree_summary(g1)
-    pos = e1.positive + g1.n * e2.positive + s1.b_plus * n2p + s1.b_minus * n2m
-    neg = e1.negative + g1.n * e2.negative + s1.b_plus * n2m + s1.b_minus * n2p
     return EdgeCensus(total=pos + neg, positive=pos, negative=neg)
 
 
@@ -224,17 +159,18 @@ def _wedge_split(g: SignedGraph):
     return PatternCounts(*pos), PatternCounts(*neg)
 
 
-def _wedge_split_by_marks(g: SignedGraph):
-    """Same incidences, but classified by the marks of the edge's own
-    endpoints (the weighted counts of edge_mark_breakdown)."""
-    return (edge_mark_breakdown(g, 1).weighted,
-            edge_mark_breakdown(g, -1).weighted)
-
-
-def _assemble_triads(t1: TriadCensus, t2: TriadCensus, n1: int,
-                     bp: int, bm: int, n2p: int, n2m: int,
-                     e2p: PatternCounts, e2m: PatternCounts,
-                     w1p: PatternCounts, w1m: PatternCounts) -> TriadCensus:
+def triad_census_formula(g1: SignedGraph, g2: SignedGraph) -> TriadCensus:
+    """Triad census of the corona from factor statistics alone."""
+    t1 = triad_census_direct(g1)
+    t2 = triad_census_direct(g2)
+    mu2 = canonical_marking(g2)
+    n1 = g1.n
+    n2p = int(np.count_nonzero(mu2 > 0))
+    n2m = g2.n - n2p
+    e2p = edge_mark_breakdown(g2, 1)
+    e2m = edge_mark_breakdown(g2, -1)
+    bp, bm = _owner_sign_split(g1)
+    w1p, w1m = _wedge_split(g1)
     # Cross triangles come in two shapes: (base node, factor edge) with
     # two cross edges of sign t*mark2(endpoint), and (base edge, common
     # neighbour, factor node) with two cross edges flipped together by
@@ -251,33 +187,6 @@ def _assemble_triads(t1: TriadCensus, t2: TriadCensus, n1: int,
     a3 = t1.t3 + n1 * t2.t3 \
         + bp * e2m.mm + bm * e2m.pp + n2p * w1m.mm + n2m * w1m.pp
     return TriadCensus(a0, a1, a2, a3)
-
-
-def _triad_ingredients(g1: SignedGraph, g2: SignedGraph):
-    mu2 = canonical_marking(g2)
-    n2p = int(np.count_nonzero(mu2 > 0))
-    return (triad_census_direct(g1), triad_census_direct(g2),
-            n2p, g2.n - n2p,
-            edge_mark_breakdown(g2, 1).plain, edge_mark_breakdown(g2, -1).plain)
-
-
-def triad_census_formula(g1: SignedGraph, g2: SignedGraph) -> TriadCensus:
-    """Triad census of the corona from factor statistics alone."""
-    t1, t2, n2p, n2m, e2p, e2m = _triad_ingredients(g1, g2)
-    bp, bm = _owner_sign_split(g1)
-    w1p, w1m = _wedge_split(g1)
-    return _assemble_triads(t1, t2, g1.n, bp, bm, n2p, n2m,
-                            e2p, e2m, w1p, w1m)
-
-
-def triad_census_by_marks(g1: SignedGraph, g2: SignedGraph) -> TriadCensus:
-    """Variant aggregating the base factor's cross terms by endpoint
-    marks; exact only on consistently signed base factors."""
-    t1, t2, n2p, n2m, e2p, e2m = _triad_ingredients(g1, g2)
-    s1 = mark_degree_summary(g1)
-    w1p, w1m = _wedge_split_by_marks(g1)
-    return _assemble_triads(t1, t2, g1.n, s1.b_plus, s1.b_minus,
-                            n2p, n2m, e2p, e2m, w1p, w1m)
 
 
 def total_triads_formula(g1: SignedGraph, g2: SignedGraph) -> int:
@@ -325,13 +234,3 @@ def corona_balance_criterion(g1: SignedGraph, g2: SignedGraph) -> bool:
     if g1.m == 0:
         return True
     return not inconsistent_edges(g2)
-
-
-def corona_balance_by_marks(g1: SignedGraph, g2: SignedGraph) -> bool:
-    """Variant that declares the corona of balanced factors unbalanced
-    as soon as either factor has an edge opposing its endpoint marks.
-    Differs from the oracle when only the base factor has one, or when
-    the base factor has no edges."""
-    if not (is_balanced(g1) and is_balanced(g2)):
-        return False
-    return not inconsistent_edges(g1) and not inconsistent_edges(g2)

@@ -12,15 +12,13 @@ import hashlib
 import json
 import sys
 
-from .census import (corona_balance_by_marks, corona_balance_criterion,
-                     edge_census_by_marks, edge_census_direct,
-                     edge_census_formula, mark_degree_summary,
-                     total_triads_formula, triad_census_by_marks,
+from .census import (corona_balance_criterion, edge_census_direct,
+                     edge_census_formula, total_triads_formula,
                      triad_census_direct, triad_census_formula)
-from .core import SignedGraph, is_balanced, matrix
+from .core import is_balanced, matrix
 from .corona import neighbourhood_corona
 from .coronal import closed_form_coronal, coronal_of_graph
-from .graphio import GraphParseError, parse_graph_file, render_graph
+from .graphio import parse_graph_file, render_graph
 from .spectra import Spectrum, check_cospectral, corona_spectrum, eig_symmetric
 from .verify import VerifyConfig, run_all
 
@@ -36,10 +34,6 @@ def _digest(path: str) -> str:
 
 def _inputs(*paths) -> list:
     return [{"path": p, "sha256": _digest(p)} for p in paths]
-
-
-def _load(path: str) -> SignedGraph:
-    return parse_graph_file(path)
 
 
 def _emit(doc: dict) -> None:
@@ -75,8 +69,8 @@ def _triads_dict(t):
 
 
 def _cmd_corona(args) -> int:
-    g1 = _load(args.in1)
-    g2 = _load(args.in2)
+    g1 = parse_graph_file(args.in1)
+    g2 = parse_graph_file(args.in2)
     cor, layout = neighbourhood_corona(g1, g2)
     text = render_graph(cor)
     if args.output:
@@ -101,8 +95,8 @@ def _cmd_corona(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    g1 = _load(args.in1)
-    g2 = _load(args.in2)
+    g1 = parse_graph_file(args.in1)
+    g2 = parse_graph_file(args.in2)
     kind = _MATRIX[args.matrix]
     method = args.method
     try:
@@ -142,8 +136,8 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_balance(args) -> int:
-    g1 = _load(args.in1)
-    g2 = _load(args.in2)
+    g1 = parse_graph_file(args.in1)
+    g2 = parse_graph_file(args.in2)
     cor, _ = neighbourhood_corona(g1, g2)
     oracle = is_balanced(cor)
     criterion = corona_balance_criterion(g1, g2)
@@ -153,7 +147,6 @@ def _cmd_balance(args) -> int:
         "criterion": criterion,
         "oracle": oracle,
         "agree": criterion == oracle,
-        "by_marks_variant": corona_balance_by_marks(g1, g2),
         "factors": {"first": is_balanced(g1), "second": is_balanced(g2)},
         "inputs": _inputs(args.in1, args.in2),
     }
@@ -167,8 +160,8 @@ def _cmd_balance(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    g1 = _load(args.in1)
-    g2 = _load(args.in2)
+    g1 = parse_graph_file(args.in1)
+    g2 = parse_graph_file(args.in2)
     cor, _ = neighbourhood_corona(g1, g2)
     direct = edge_census_direct(cor)
     formula = edge_census_formula(g1, g2)
@@ -178,12 +171,8 @@ def _cmd_stats(args) -> int:
         "edge_census": {
             "formula": _census_dict(formula),
             "direct": _census_dict(direct),
-            "by_marks": _census_dict(edge_census_by_marks(g1, g2)),
             "agree": formula == direct,
         },
-        "factor_marks": [
-            _marks_dict(mark_degree_summary(g)) for g in (g1, g2)
-        ],
         "inputs": _inputs(args.in1, args.in2),
     }
     if args.triads:
@@ -192,7 +181,6 @@ def _cmd_stats(args) -> int:
         doc["triad_census"] = {
             "formula": _triads_dict(tform),
             "direct": _triads_dict(tdir),
-            "by_marks": _triads_dict(triad_census_by_marks(g1, g2)),
             "total_formula": total_triads_formula(g1, g2),
             "agree": tform == tdir,
         }
@@ -209,13 +197,8 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _marks_dict(s):
-    return {"n_plus": s.n_plus, "n_minus": s.n_minus,
-            "b_plus": s.b_plus, "b_minus": s.b_minus}
-
-
 def _cmd_coronal(args) -> int:
-    g = _load(args.input)
+    g = parse_graph_file(args.input)
     kind = _MATRIX[args.matrix]
     cor = coronal_of_graph(g, kind)
     closed = closed_form_coronal(g, kind)
@@ -239,8 +222,8 @@ def _cmd_coronal(args) -> int:
 
 
 def _cmd_cospectral(args) -> int:
-    ga = _load(args.ina)
-    gb = _load(args.inb)
+    ga = parse_graph_file(args.ina)
+    gb = parse_graph_file(args.inb)
     kind = _MATRIX[args.matrix]
     ma = matrix(ga, kind)
     mb = matrix(gb, kind)
@@ -270,10 +253,8 @@ def _cmd_verify(args) -> int:
     _emit(doc)
     if args.verbose:
         _table("verification checks",
-               ("check", "ok", "instances", "failures", "deviations",
-                "seconds"),
-               [(r.name, r.ok, r.instances, r.failures,
-                 len(r.deviations), f"{r.elapsed:.2f}")
+               ("check", "ok", "instances", "failures", "seconds"),
+               [(r.name, r.ok, r.instances, r.failures, f"{r.elapsed:.2f}")
                 for r in report.results])
     return 0 if report.ok else 1
 
@@ -351,10 +332,10 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except GraphParseError as exc:
-        print(f"sgcorona: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ValueError, OSError) as exc:
+        # parse errors and undecodable text are ValueErrors, as is a
+        # factor the corona cannot be built from; unreadable paths are
+        # OSErrors
         print(f"sgcorona: {exc}", file=sys.stderr)
         return 2
 

@@ -2,13 +2,17 @@
 
 A graph file is UTF-8 text.  The first significant line holds the node
 count n; every following significant line is an edge "u v s" with
-0-based endpoints and sign token s.  Sign tokens are +, -, +1 or -1;
-a two-token line "u v" means a positive edge.  Anything from '#' to
-the end of a line is a comment, blank lines are skipped, and both LF
-and CRLF line endings are accepted.
+0-based endpoints and sign token s.  The node count and the endpoints
+are ASCII decimal digits only (no sign, underscore or other digit
+script).  Sign tokens are +, -, +1, -1 or 1; a two-token line "u v"
+means a positive edge.  Anything from '#' to the end of a line is a
+comment, blank lines are skipped, and both LF and CRLF line endings
+are accepted.
 """
 
 from __future__ import annotations
+
+import re
 
 from .core import SignedGraph, new_signed_graph
 
@@ -16,6 +20,7 @@ __all__ = ["GraphParseError", "parse_graph", "parse_graph_file",
            "render_graph"]
 
 _SIGN_TOKENS = {"+": 1, "+1": 1, "1": 1, "-": -1, "-1": -1}
+_DECIMAL = re.compile(r"[0-9]+")
 
 
 class GraphParseError(ValueError):
@@ -44,12 +49,11 @@ def parse_graph(text: str) -> SignedGraph:
     if len(head.split()) != 1:
         raise GraphParseError("node count line must hold a single integer",
                               ln)
-    try:
-        n = int(head)
-    except ValueError:
-        raise GraphParseError(f"bad node count {head!r}", ln) from None
-    if n < 0:
-        raise GraphParseError(f"node count must be nonnegative, got {n}", ln)
+    if not _DECIMAL.fullmatch(head):
+        raise GraphParseError(
+            f"bad node count {head!r} (need a nonnegative decimal integer)",
+            ln)
+    n = int(head)
 
     edges = []
     seen = {}
@@ -60,19 +64,17 @@ def parse_graph(text: str) -> SignedGraph:
         if len(toks) != 3:
             raise GraphParseError(
                 f"expected 'u v sign' but found {len(toks)} tokens", ln)
-        try:
-            u = int(toks[0])
-            v = int(toks[1])
-        except ValueError:
-            raise GraphParseError(
-                f"bad endpoint in {line!r}", ln) from None
+        if not (_DECIMAL.fullmatch(toks[0]) and _DECIMAL.fullmatch(toks[1])):
+            raise GraphParseError(f"bad endpoint in {line!r}", ln)
+        u = int(toks[0])
+        v = int(toks[1])
         sign = _SIGN_TOKENS.get(toks[2])
         if sign is None:
             raise GraphParseError(
-                f"bad sign token {toks[2]!r} (use + - +1 -1)", ln)
+                f"bad sign token {toks[2]!r} (use + - +1 -1 1)", ln)
         if u == v:
             raise GraphParseError(f"self-loop at node {u}", ln)
-        if u < 0 or v < 0 or u >= n or v >= n:
+        if u >= n or v >= n:
             raise GraphParseError(f"edge index out of range: ({u}, {v})", ln)
         key = (min(u, v), max(u, v))
         if key in seen:

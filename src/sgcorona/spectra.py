@@ -152,8 +152,12 @@ def eig_symmetric(m, cluster_tol: float = CLUSTER_TOL) -> Spectrum:
 
 def real_roots(p: IntPolynomial) -> Spectrum:
     """All real roots of p as a Spectrum; raises ValueError when the
-    polynomial is not real-rooted (a misassembled input)."""
-    return Spectrum.from_pairs(real_root_pairs(p))
+    polynomial is not real-rooted (a misassembled input).
+
+    The multiplicities are exact: the roots come from pairwise coprime
+    squarefree factors, so no two are equal and none may be clustered,
+    however close they lie."""
+    return Spectrum.from_pairs(real_root_pairs(p), cluster_tol=0.0)
 
 
 # ---------------------------------------------------------------------------

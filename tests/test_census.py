@@ -1,11 +1,9 @@
 import random
 
-from sgcorona.census import (EdgeCensus, TriadCensus, corona_balance_by_marks,
-                             corona_balance_criterion, edge_census_by_marks,
+from sgcorona.census import (EdgeCensus, TriadCensus, corona_balance_criterion,
                              edge_census_direct, edge_census_formula,
                              edge_mark_breakdown, inconsistent_edges,
-                             mark_degree_summary, total_triads_formula,
-                             triad_census_by_marks, triad_census_direct,
+                             total_triads_formula, triad_census_direct,
                              triad_census_formula)
 from sgcorona.core import is_balanced, new_signed_graph
 from sgcorona.corona import neighbourhood_corona
@@ -45,8 +43,6 @@ def test_edge_formula_negative_base():
     direct = edge_census_direct(cor)
     assert direct == EdgeCensus(3, 2, 1)
     assert edge_census_formula(p2neg(), k1()) == direct
-    # the endpoint-marks variant splits the same total differently
-    assert edge_census_by_marks(p2neg(), k1()) == EdgeCensus(3, 0, 3)
 
 
 def test_edge_formula_mixed_star_base():
@@ -71,29 +67,15 @@ def test_triads_with_signs():
     assert total_triads_formula(g1, g2) == direct.total
 
 
-def test_triads_by_marks_variant():
-    # agrees with the exact formula when every edge satisfies
-    # sign = mark * mark ...
-    assert triad_census_by_marks(c3(), p2()) == TriadCensus(13, 0, 0, 0)
-    # ... and misclassifies wedge triangles otherwise, while the
-    # sign-free total survives
+def test_triads_mixed_star_base():
+    # every base edge opposes its endpoint marks, so classifying wedge
+    # triangles by those marks alone would give (1, 0, 3, 0)
     g1 = new_signed_graph(3, [(0, 1, 1), (0, 2, -1)])
     cor, _ = neighbourhood_corona(g1, p2())
     direct = triad_census_direct(cor)
     assert direct == TriadCensus(3, 0, 1, 0)
     assert triad_census_formula(g1, p2()) == direct
-    variant = triad_census_by_marks(g1, p2())
-    assert variant == TriadCensus(1, 0, 3, 0)
-    assert variant.total == direct.total == 4
-
-
-def test_mark_degree_summary():
-    s = mark_degree_summary(p2neg())
-    assert (s.n_plus, s.n_minus) == (0, 2)
-    assert (s.b_plus, s.b_minus) == (0, 2)
-    s = mark_degree_summary(c3())
-    assert (s.n_plus, s.n_minus) == (3, 0)
-    assert (s.b_plus, s.b_minus) == (6, 0)
+    assert total_triads_formula(g1, p2()) == direct.total == 4
 
 
 def test_edge_mark_breakdown():
@@ -101,9 +83,9 @@ def test_edge_mark_breakdown():
     # marks are (-1, +1, -1); the positive edge joins marks (-, +),
     # the negative edge joins marks (-, -)
     pos = edge_mark_breakdown(g, 1)
-    assert (pos.plain.pp, pos.plain.pm, pos.plain.mm) == (0, 1, 0)
+    assert (pos.pp, pos.pm, pos.mm) == (0, 1, 0)
     neg = edge_mark_breakdown(g, -1)
-    assert (neg.plain.pp, neg.plain.pm, neg.plain.mm) == (0, 0, 1)
+    assert (neg.pp, neg.pm, neg.mm) == (0, 0, 1)
 
 
 def test_inconsistent_edges():
@@ -133,13 +115,11 @@ def test_balance_criterion_frozen_cases():
     assert is_balanced(cor)
 
 
-def test_balance_by_marks_known_deviations():
-    # the variant blames inconsistent edges in either factor
+def test_balance_criterion_ignores_inconsistent_base_edges():
+    # an inconsistent copy edge is harmless without base edges ...
     free = new_signed_graph(2, [])
-    assert corona_balance_by_marks(free, p2neg()) is False  # wrong side
     assert corona_balance_criterion(free, p2neg()) is True
-    # inconsistent base edge does not actually hurt
-    assert corona_balance_by_marks(p2neg(), p2()) is False
+    # ... and an inconsistent base edge never hurts
     assert corona_balance_criterion(p2neg(), p2()) is True
     cor, _ = neighbourhood_corona(p2neg(), p2())
     assert is_balanced(cor)

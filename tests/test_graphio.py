@@ -1,6 +1,8 @@
 import random
+import re
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from sgcorona.generate import random_signed_graph
 from sgcorona.graphio import (GraphParseError, parse_graph, parse_graph_file,
@@ -60,6 +62,37 @@ def test_parse_errors_carry_line_numbers():
     # comment-only first lines shift reported numbers accordingly
     with pytest.raises(GraphParseError, match="line 4"):
         parse_graph("# head\n\n2\n0 5 +\n")
+
+
+@pytest.mark.parametrize("text, line", [
+    ("1_1\n", 1), ("+0\n", 1), ("\uff13\n", 1),
+    ("3\n1_1 2 +\n", 2), ("3\n0 +1 -\n", 2), ("3\n0 1 +\n\uff12 1 +\n", 3)])
+def test_parse_rejects_non_ascii_decimal_integers(text, line):
+    # int() accepts each of these: an underscore, a leading sign, and
+    # full-width digits
+    with pytest.raises(GraphParseError, match=f"line {line}") as err:
+        parse_graph(text)
+    assert err.value.line == line
+
+
+def test_parse_accepts_bare_one_as_sign():
+    assert parse_graph("2\n0 1 1\n").edges() == [(0, 1, 1)]
+
+
+# the parser has no size bound yet, so generated text keeps every run of
+# ASCII digits (hence every node count) below 1000
+_FUZZ_CHARS = st.one_of(st.sampled_from("0123+-_ #\r\n\t1\uff13x"),
+                        st.characters())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(_FUZZ_CHARS, max_size=40))
+def test_parse_raises_only_graph_parse_error(text):
+    assume(not re.search(r"[0-9]{4}", text))
+    try:
+        parse_graph(text)
+    except GraphParseError:
+        pass
 
 
 def test_round_trip():

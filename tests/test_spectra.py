@@ -98,6 +98,18 @@ def test_real_roots_spectrum():
         real_roots(X**2 + 1)
 
 
+def test_real_roots_keeps_close_simple_roots_apart():
+    # two simple roots 1e-7 apart are not one double root
+    s = real_roots((10**7 * X - 10**7) * (10**7 * X - 10**7 - 1))
+    assert [m for _, m in s.pairs] == [1, 1]
+    assert s.isclose(Spectrum([(1.0, 1), (1.0000001, 1)]), 1e-12)
+    # repeated roots keep their exact multiplicities
+    s = corona_spectrum(c3(), p2(), "A", "theorem")
+    assert s.multiplicity_of(-1.0) == 3
+    assert s.multiplicity_of(math.sqrt(3)) == 2
+    assert s.multiplicity_of(-math.sqrt(3)) == 2
+
+
 # ---------------------------------------------------------------------------
 # exact assemblies
 
