@@ -3,7 +3,7 @@
 Construction of the product, edge and triad censuses, balance, marking
 resolvents, and adjacency / Laplacian / signless-Laplacian spectra via
 three mutually checking routes (numeric diagonalization, exact
-characteristic polynomial assembly, per-family closed forms).
+characteristic polynomial assembly, per-base-eigenvalue closed forms).
 """
 
 from types import ModuleType as _ModuleType
@@ -36,10 +36,7 @@ from .polys import (IntPolynomial, RationalFn, poly_divexact, poly_gcd,
                     taylor_shift)
 from .spectra import (Spectrum, charpoly_A_corona, charpoly_L_corona,
                       charpoly_Q_corona, check_cospectral, corona_spectrum,
-                      eig_symmetric, real_roots,
-                      spectrum_A_net_regular, spectrum_A_star,
-                      spectrum_L_coregular, spectrum_L_star,
-                      spectrum_Q_coregular, spectrum_Q_star)
+                      eig_symmetric, real_roots)
 from .verify import VerifyConfig, VerifyReport, run_all
 
 __version__ = "0.1.0"

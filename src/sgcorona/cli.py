@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 
 from .census import (corona_balance_criterion, edge_census_direct,
@@ -259,14 +260,23 @@ def _cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _checked(convert, ok, need: str):
+    """argparse type: convert the text, then require ok(value)."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value: {text!r}")
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {need}, got {text}")
+        return value
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v >= 1, "at least 1")
+_tolerance = _checked(float, lambda v: 0 <= v < math.inf,
+                      "finite and at least 0")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -314,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cospectral",
                        help="compare spectra of two graphs' matrices")
     p.add_argument("--matrix", choices=sorted(_MATRIX), required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_tolerance, default=1e-8)
     p.add_argument("ina")
     p.add_argument("inb")
     p.set_defaults(fn=_cmd_cospectral)

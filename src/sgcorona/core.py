@@ -27,7 +27,12 @@ __all__ = [
     "relabel",
     "connected_components",
     "is_connected",
+    "MAX_NODES",
 ]
+
+# the largest graph any command builds or reads: its dense int64
+# adjacency takes 128 MB
+MAX_NODES = 4096
 
 
 class SignedGraph:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SignedGraph, canonical_marking, matrix
+from .core import MAX_NODES, SignedGraph, canonical_marking, matrix
 
 __all__ = ["CoronaLayout", "neighbourhood_corona", "corona_block_matrix"]
 
@@ -51,13 +51,17 @@ class CoronaLayout:
 def neighbourhood_corona(g1: SignedGraph, g2: SignedGraph):
     """Build the corona explicitly, edge by edge.
 
-    Returns (graph, layout).  Edge count is m1 + n1*m2 + 2*m1*n2 and
-    node count n1*(n2+1); both are consequences of the construction and
+    Returns (graph, layout), or raises ValueError for an empty factor
+    or a product over MAX_NODES nodes.  Edge count m1 + n1*m2 + 2*m1*n2
+    and node count n1*(n2+1) follow from the construction and are
     asserted here.
     """
     if g1.n < 1 or g2.n < 1:
         raise ValueError("both factors need at least one node")
     lay = CoronaLayout(g1.n, g2.n)
+    if lay.total > MAX_NODES:
+        raise ValueError(f"the corona would have {lay.total} nodes, over "
+                         f"the limit of {MAX_NODES}")
     mu1 = canonical_marking(g1)
     mu2 = canonical_marking(g2)
     n = lay.total

@@ -16,22 +16,22 @@
    where r is the base degree (Q and L require a regular base).  The
    determinants run over integer polynomials, so the result is exact
    and must equal char_poly of the built corona coefficientwise.
-3. closed form: when the copy factor is net-regular with an
-   eigenvector marking, each base eigenvalue contributes a quadratic
-   pair; when it is a star, a cubic triple.  These run in floating
-   point off the factors' spectra.
+3. closed form: for a copy factor in a closed-form coronal family
+   (other copy factors raise ValueError), the theorem assembly splits
+   into one factor per base eigenvalue a, the characteristic polynomial
+   of a symmetric matrix M_a (see _closed_form_spectrum).  In an
+   eigenbasis of the copy factor's matrix each M_a reduces to a small
+   arrowhead, so one eigh of that matrix and one batched eigvalsh over
+   the arrowheads give the spectrum without the corona.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from .core import SignedGraph, canonical_marking, co_regularity, matrix
 from .corona import neighbourhood_corona
-from .coronal import (coronal_with_char_poly, has_eigenvector_marking,
-                      star_shape)
+from .coronal import closed_form_coronal, coronal_with_char_poly
 from .polys import IntPolynomial, poly_matrix_det, real_root_pairs, taylor_shift
 
 __all__ = [
@@ -41,12 +41,6 @@ __all__ = [
     "charpoly_A_corona",
     "charpoly_Q_corona",
     "charpoly_L_corona",
-    "spectrum_A_net_regular",
-    "spectrum_A_star",
-    "spectrum_Q_coregular",
-    "spectrum_Q_star",
-    "spectrum_L_coregular",
-    "spectrum_L_star",
     "corona_spectrum",
     "check_cospectral",
 ]
@@ -163,40 +157,39 @@ def real_roots(p: IntPolynomial) -> Spectrum:
 # ---------------------------------------------------------------------------
 # exact theorem assembly
 
-def _corona_char_poly(base_mat: np.ndarray, g2: SignedGraph, kind: str,
-                      shift: int, scalar_offset: int,
-                      quad_mat: np.ndarray) -> IntPolynomial:
-    """Shared engine: cofactor(x-shift)^n1 * det( q(x-shift) *
-    ((x - scalar_offset) I - base_mat) - p(x-shift) * quad_mat )."""
+def _corona_char_poly(g1: SignedGraph, g2: SignedGraph, kind: str,
+                      r: int) -> IntPolynomial:
+    """Shared engine for X = A, Q or L with base degree r (0 for A):
+    d(x-r)^n1 * det( q(x-r) ((x - n2 r) I - X1) - p(x-r) (X1 - rI)^2 )."""
     cor, _, dfac = coronal_with_char_poly(matrix(g2, kind),
                                           canonical_marking(g2))
     p, q = cor.num, cor.den
-    if shift != 0:
-        p = taylor_shift(p, -shift)
-        q = taylor_shift(q, -shift)
-        dfac = taylor_shift(dfac, -shift)
-    n1 = base_mat.shape[0]
-    qx = q.shift(1) - scalar_offset * q
+    if r != 0:
+        p = taylor_shift(p, -r)
+        q = taylor_shift(q, -r)
+        dfac = taylor_shift(dfac, -r)
+    x1 = matrix(g1, kind)
+    b = x1 - r * np.identity(g1.n, dtype=np.int64)
+    quad = b @ b
+    qx = q.shift(1) - g2.n * r * q
     rows = []
-    for i in range(n1):
+    for i in range(g1.n):
         row = []
-        for j in range(n1):
-            e = (-int(base_mat[i, j])) * q + (-int(quad_mat[i, j])) * p
+        for j in range(g1.n):
+            e = (-int(x1[i, j])) * q + (-int(quad[i, j])) * p
             if i == j:
                 e = e + qx
             row.append(e)
         rows.append(row)
     det = poly_matrix_det(rows)
-    out = det * dfac**n1
-    assert out.is_monic and out.degree == n1 * (g2.n + 1)
+    out = det * dfac**g1.n
+    assert out.is_monic and out.degree == g1.n * (g2.n + 1)
     return out
 
 
 def charpoly_A_corona(g1: SignedGraph, g2: SignedGraph) -> IntPolynomial:
     """Exact adjacency characteristic polynomial of the corona."""
-    a1 = matrix(g1, "A")
-    return _corona_char_poly(a1, g2, "A", shift=0, scalar_offset=0,
-                             quad_mat=a1 @ a1)
+    return _corona_char_poly(g1, g2, "A", 0)
 
 
 def _require_regular(g1: SignedGraph) -> int:
@@ -210,195 +203,67 @@ def _require_regular(g1: SignedGraph) -> int:
 def charpoly_Q_corona(g1: SignedGraph, g2: SignedGraph) -> IntPolynomial:
     """Exact signless-Laplacian characteristic polynomial of the
     corona; requires a regular base graph."""
-    r = _require_regular(g1)
-    q1 = matrix(g1, "Q")
-    b = q1 - r * np.identity(g1.n, dtype=np.int64)
-    return _corona_char_poly(q1, g2, "Q", shift=r,
-                             scalar_offset=g2.n * r, quad_mat=b @ b)
+    return _corona_char_poly(g1, g2, "Q", _require_regular(g1))
 
 
 def charpoly_L_corona(g1: SignedGraph, g2: SignedGraph) -> IntPolynomial:
     """Exact Laplacian characteristic polynomial of the corona;
     requires a regular base graph."""
-    r = _require_regular(g1)
-    l1 = matrix(g1, "L")
-    b = l1 - r * np.identity(g1.n, dtype=np.int64)
-    return _corona_char_poly(l1, g2, "L", shift=r,
-                             scalar_offset=g2.n * r, quad_mat=b @ b)
+    return _corona_char_poly(g1, g2, "L", _require_regular(g1))
 
 
 # ---------------------------------------------------------------------------
 # closed-form spectra
 
-def _quadratic_pairs(spec1: Spectrum, pole: float, n2: int, shift: float):
-    """Per base eigenvalue a, the two roots of
-    (x - n2*shift - a)(x - pole) - n2 (a - shift)^2."""
-    out = []
-    for alpha, m in spec1.pairs:
-        s = pole + n2 * shift + alpha
-        disc = math.sqrt((pole - n2 * shift - alpha) ** 2
-                         + 4 * n2 * (alpha - shift) ** 2)
-        out.append(((s - disc) / 2, m))
-        out.append(((s + disc) / 2, m))
-    return out
-
-
-def _shifted_tail(spec2: Spectrum, pole_source: float, shift: float,
-                  n1: int, p: int, pole: float):
-    """Copy-factor eigenvalues other than pole_source, shifted, each
-    with multiplicity n1; the pole itself with multiplicity n1*(p-1)."""
-    got_p = spec2.multiplicity_of(pole_source)
-    if got_p != p:
-        raise ValueError(f"stated pole multiplicity {p} but the factor "
-                         f"spectrum carries {got_p}")
-    out = []
-    for beta, m in spec2.pairs:
-        if abs(beta - pole_source) <= CLUSTER_TOL:
-            continue
-        out.append((beta + shift, m * n1))
-    if p > 1:
-        out.append((pole, n1 * (p - 1)))
-    return out
-
-
-def spectrum_A_net_regular(spec1: Spectrum, n2: int, k: int, p: int,
-                           spec2: Spectrum) -> Spectrum:
-    """Corona adjacency spectrum when the copy factor is net-regular
-    with an eigenvector marking: per base eigenvalue a the roots
-    (a + k +- sqrt((a-k)^2 + 4 n2 a^2))/2, the remaining copy
-    eigenvalues each n1 times, and k itself n1*(p-1) times."""
-    n1 = spec1.order
-    vals = _quadratic_pairs(spec1, pole=float(k), n2=n2, shift=0.0)
-    vals += _shifted_tail(spec2, pole_source=float(k), shift=0.0,
-                          n1=n1, p=p, pole=float(k))
-    return Spectrum.from_pairs(vals)
-
-
-def _real_cubic_roots(coeffs):
-    roots = np.roots(coeffs)
-    if np.max(np.abs(roots.imag)) > 1e-6:
-        raise ValueError("cubic factor produced non-real roots")
-    return [float(r) for r in np.sort(roots.real)]
-
-
-def spectrum_A_star(spec1: Spectrum, legs: int, mark_center: int) -> Spectrum:
-    """Corona adjacency spectrum when the copy factor is a star with
-    the given leg count: eigenvalue 0 with multiplicity n1*(legs-1)
-    plus, per base eigenvalue a, the roots of
-    x^3 - a x^2 - ((legs+1) a^2 + legs) x + legs*a*(1 - 2 a mark)."""
-    n1 = spec1.order
-    vals = []
-    if legs > 1:
-        vals.append((0.0, n1 * (legs - 1)))
-    for alpha, m in spec1.pairs:
-        cubic = [1.0,
-                 -alpha,
-                 -((legs + 1) * alpha * alpha + legs),
-                 legs * alpha * (1.0 - 2.0 * alpha * mark_center)]
-        for r in _real_cubic_roots(cubic):
-            vals.append((r, m))
-    return Spectrum.from_pairs(vals)
-
-
-def spectrum_Q_coregular(spec1: Spectrum, r1: int, n2: int, r2: int, k2: int,
-                         p: int, spec2: Spectrum) -> Spectrum:
-    """Corona signless-Laplacian spectrum for a regular base and a
-    co-regular copy factor with eigenvector marking.  The coronal pole
-    sits at r1 + r2 + k2; copy eigenvalues shift by r1."""
-    n1 = spec1.order
-    pole = float(r1 + r2 + k2)
-    vals = _quadratic_pairs(spec1, pole=pole, n2=n2, shift=float(r1))
-    vals += _shifted_tail(spec2, pole_source=float(r2 + k2), shift=float(r1),
-                          n1=n1, p=p, pole=pole)
-    return Spectrum.from_pairs(vals)
-
-
-def spectrum_L_coregular(spec1: Spectrum, r1: int, n2: int, r2: int, k2: int,
-                         p: int, spec2: Spectrum) -> Spectrum:
-    """Laplacian counterpart; the pole sits at r1 + r2 - k2."""
-    n1 = spec1.order
-    pole = float(r1 + r2 - k2)
-    vals = _quadratic_pairs(spec1, pole=pole, n2=n2, shift=float(r1))
-    vals += _shifted_tail(spec2, pole_source=float(r2 - k2), shift=float(r1),
-                          n1=n1, p=p, pole=pole)
-    return Spectrum.from_pairs(vals)
-
-
-def _star_cubic_pairs(spec1: Spectrum, r1: int, legs: int, mu_term: float):
-    """Roots of (x - (legs+1) r1 - a)(x - r1)(x - r1 - legs - 1)
-    - ((legs+1)(x - r1) - (legs^2+1) + mu_term) (a - r1)^2, per base
-    eigenvalue a."""
-    out = []
-    big_a = float(legs + 1)
-    for alpha, m in spec1.pairs:
-        s2 = (alpha - r1) ** 2
-        aa = big_a * r1 + alpha
-        bb = float(r1)
-        cc = r1 + big_a
-        c3 = 1.0
-        c2 = -(aa + bb + cc)
-        c1 = aa * bb + aa * cc + bb * cc - big_a * s2
-        c0 = -(aa * bb * cc) + (big_a * r1 + legs * legs + 1 - mu_term) * s2
-        for r in _real_cubic_roots([c3, c2, c1, c0]):
-            out.append((r, m))
-    return out
-
-
-def spectrum_Q_star(spec1: Spectrum, r1: int, legs: int,
-                    mark_center: int) -> Spectrum:
-    """Corona signless-Laplacian spectrum for a regular base and a star
-    copy factor: eigenvalue 1 + r1 with multiplicity n1*(legs-1) plus a
-    cubic triple per base eigenvalue."""
-    n1 = spec1.order
-    vals = [(float(1 + r1), n1 * (legs - 1))] if legs > 1 else []
-    vals += _star_cubic_pairs(spec1, r1, legs, mu_term=2.0 * legs * mark_center)
-    return Spectrum.from_pairs(vals)
-
-
-def spectrum_L_star(spec1: Spectrum, r1: int, legs: int,
-                    mark_center: int) -> Spectrum:
-    """Laplacian counterpart of spectrum_Q_star (the mark term enters
-    with the opposite sign, mirroring the coronal)."""
-    n1 = spec1.order
-    vals = [(float(1 + r1), n1 * (legs - 1))] if legs > 1 else []
-    vals += _star_cubic_pairs(spec1, r1, legs,
-                              mu_term=-2.0 * legs * mark_center)
-    return Spectrum.from_pairs(vals)
-
-
-# ---------------------------------------------------------------------------
-# front end
-
 def _closed_form_spectrum(g1: SignedGraph, g2: SignedGraph,
                           kind: str) -> Spectrum:
-    kind = kind.upper()
-    k2 = has_eigenvector_marking(g2)
-    shape = star_shape(g2)
-    if kind == "A":
-        spec1 = eig_symmetric(matrix(g1, "A"))
-        if k2 is not None:
-            spec2 = eig_symmetric(matrix(g2, "A"))
-            return spectrum_A_net_regular(spec1, g2.n, k2,
-                                          spec2.multiplicity_of(k2), spec2)
-        if shape is not None:
-            return spectrum_A_star(spec1, *shape)
+    """Eigenvalues of M_a = [[a + n2 r, (a - r) mu2^T], [(a - r) mu2,
+    X2 + r I]] for each eigenvalue a of X1, with a's multiplicity.  X is
+    A, Q or L, mu2 the copy factor's marking and r the base degree (0
+    for A).  Switching copy b by mark1(b) gives each eigenvector of X1
+    an invariant block of the corona matrix, and det(xI - M_a) is one
+    factor of the theorem assembly.  Raises ValueError unless the copy
+    factor is in a closed_form_coronal family.
+
+    M_a is reduced before it is solved: in an eigenbasis of X2 the part
+    of each eigenspace orthogonal to mu2 decouples (eigenvalue l + r for
+    every a, n1 times per dimension), and the s main eigenspaces leave
+    a (1 + s) x (1 + s) arrowhead per a.  So the cost is one eigh of X2
+    and one batched eigvalsh of small blocks, never k copies of M_a."""
+    r = 0 if kind == "A" else _require_regular(g1)
+    if closed_form_coronal(g2, kind) is None:
         raise ValueError("no closed-form spectrum family applies to the "
-                         "copy factor (need eigenvector marking or a star)")
-    r1 = _require_regular(g1)
+                         "copy factor (need a net-regular factor with an "
+                         "eigenvector marking, co-regular for Q and L, "
+                         "or a star)")
     spec1 = eig_symmetric(matrix(g1, kind))
-    reg2 = co_regularity(g2)
-    if k2 is not None and reg2.r is not None:
-        spec2 = eig_symmetric(matrix(g2, kind))
-        pole_src = reg2.r + k2 if kind == "Q" else reg2.r - k2
-        fn = spectrum_Q_coregular if kind == "Q" else spectrum_L_coregular
-        return fn(spec1, r1, g2.n, reg2.r, k2,
-                  spec2.multiplicity_of(pole_src), spec2)
-    if shape is not None:
-        fn = spectrum_Q_star if kind == "Q" else spectrum_L_star
-        return fn(spec1, r1, *shape)
-    raise ValueError("no closed-form spectrum family applies to the copy "
-                     "factor (need co-regular with eigenvector marking, or "
-                     "a star)")
+    lam, vecs = np.linalg.eigh(matrix(g2, kind).astype(np.float64))
+    w = vecs.T @ canonical_marking(g2)
+    # eigenspaces of X2: runs of eigenvalues closer than CLUSTER_TOL
+    cuts = np.flatnonzero(np.diff(lam) > CLUSTER_TOL) + 1
+    pairs, main_l, main_c = [], [], []
+    for run in np.split(np.arange(g2.n), cuts):
+        l = float(lam[run].mean()) + r
+        c = float(np.linalg.norm(w[run]))
+        dim = run.size
+        # |mu2| = sqrt(n2); rounding leaves non-main projections ~1e-13
+        if c > 1e-8 * np.sqrt(g2.n):
+            main_l.append(l)
+            main_c.append(c)
+            dim -= 1
+        if dim:
+            pairs.append((l, g1.n * dim))
+    a = np.array([v for v, _ in spec1.pairs])
+    blocks = np.zeros((a.size, len(main_l) + 1, len(main_l) + 1))
+    blocks[:, 0, 0] = a + g2.n * r
+    blocks[:, 0, 1:] = np.outer(a - r, main_c)
+    blocks[:, 1:, 0] = blocks[:, 0, 1:]
+    idx = np.arange(1, len(main_l) + 1)
+    blocks[:, idx, idx] = main_l
+    vals = np.linalg.eigvalsh(blocks)
+    pairs.extend((v, m) for (_, m), row in zip(spec1.pairs, vals)
+                 for v in row)
+    return Spectrum.from_pairs(pairs)
 
 
 def corona_spectrum(g1: SignedGraph, g2: SignedGraph, kind: str,
@@ -407,8 +272,9 @@ def corona_spectrum(g1: SignedGraph, g2: SignedGraph, kind: str,
 
     method 'numeric' diagonalizes the built corona, 'theorem' isolates
     the roots of the exactly assembled characteristic polynomial, and
-    'closed_form' (alias 'proposition') applies the per-family
-    formulas, raising ValueError when no family matches.  Every method
+    'closed_form' (alias 'proposition') solves one small eigenproblem
+    per base eigenvalue, raising ValueError when the copy factor is in
+    no closed_form_coronal family.  Every method
     raises ValueError when a factor has no nodes.
     """
     kind = kind.upper()

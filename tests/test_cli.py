@@ -143,6 +143,39 @@ def test_cospectral_command(files, capsys, tmp_path):
     assert _doc(capsys)["cospectral"] is False
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "abc"])
+def test_cospectral_rejects_unusable_tolerance(files, capsys, tol):
+    with pytest.raises(SystemExit) as exc:
+        run(["cospectral", "--matrix", "a", "--tol", tol,
+             files["p2"], files["p2"]])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--tol" in captured.err
+
+
+def test_size_bounds_are_usage_errors(files, capsys, tmp_path):
+    # a 100000-node header fails on line 1, before any allocation
+    huge = tmp_path / "huge.sg"
+    huge.write_text("100000\n", encoding="utf-8")
+    assert run(["stats", str(huge), files["p2"]]) == 2
+    assert "line 1" in capsys.readouterr().err
+    # two 100-node factors pass the parser but their corona has 10,100
+    # nodes; the closed form never builds it, so only the numeric
+    # cross-check is skipped
+    edgeless = tmp_path / "edgeless.sg"
+    edgeless.write_text("100\n", encoding="utf-8")
+    assert run(["corona", str(edgeless), str(edgeless)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "10100 nodes" in captured.err
+    assert run(["spectrum", "--matrix", "a", "--method", "proposition",
+                str(edgeless), str(edgeless)]) == 0
+    doc = _doc(capsys)
+    assert doc["order"] == 10100
+    assert doc["spectrum"] == [{"value": 0.0, "multiplicity": 10100}]
+    assert doc["cross_check"]["ran"] is False
+    assert "10100 nodes" in doc["cross_check"]["reason"]
+
+
 def test_parse_error_exit_code(files, capsys, tmp_path):
     bad = tmp_path / "bad.sg"
     bad.write_text("2\n0 2 +\n", encoding="utf-8")
@@ -215,25 +248,43 @@ def _graph_files(draw):
 _FUZZ_COMMANDS = [["corona"], ["balance"], ["stats", "--triads"]] + [
     ["spectrum", "--matrix", m, "--method", method]
     for m in "aql" for method in ("numeric", "theorem", "proposition")] + [
-    ["coronal", "--matrix", m] for m in "aql"]
+    ["coronal", "--matrix", m] for m in "aql"] + [
+    ["cospectral", "--matrix", m] for m in "aql"]
+
+# cospectral --tol values: usable ones, and ones argparse must reject
+_FUZZ_TOLS = ["1e-8", "0", "0.5", "1e300", "nan", "inf", "-inf", "-1e-9",
+              "abc"]
 
 
-@settings(max_examples=200, deadline=None,
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@settings(max_examples=230, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(first=_graph_files(), second=_graph_files(),
-       command=st.sampled_from(_FUZZ_COMMANDS))
-def test_commands_keep_the_exit_contract(tmp_path, first, second, command):
+       command=st.sampled_from(_FUZZ_COMMANDS),
+       tol=st.sampled_from(_FUZZ_TOLS))
+def test_commands_keep_the_exit_contract(tmp_path, first, second, command,
+                                         tol):
     paths = []
     for name, data in (("first.sg", first), ("second.sg", second)):
         path = tmp_path / name
         path.write_bytes(data)
         paths.append(str(path))
+    if command[0] == "cospectral":
+        command = command + ["--tol", tol]
     argv = command + (paths[:1] if command[0] == "coronal" else paths)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run(argv)
+        try:
+            code, prefix = run(argv), "sgcorona"
+        except SystemExit as exc:  # argparse rejected the --tol value
+            assert command[0] == "cospectral"
+            code, prefix = exc.code, "usage: sgcorona"
     assert code in (0, 2), (argv, err.getvalue())
     if code == 0:
-        json.loads(out.getvalue())  # exactly one JSON document
+        # exactly one strict JSON document: NaN and Infinity are not JSON
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
     else:
-        assert out.getvalue() == "" and err.getvalue().startswith("sgcorona")
+        assert out.getvalue() == "" and err.getvalue().startswith(prefix)

@@ -1,6 +1,7 @@
 import random
 
 import numpy as np
+import pytest
 
 from sgcorona.core import matrix, new_signed_graph
 from sgcorona.corona import (CoronaLayout, corona_block_matrix,
@@ -97,3 +98,14 @@ def test_isolated_base_node_keeps_its_copy_dangling():
     g2 = new_signed_graph(2, [(0, 1, -1)])
     cor, lay = neighbourhood_corona(g1, g2)
     assert cor.m == 2  # just the two copy edges
+
+
+def test_corona_bounds_the_product_before_allocating(monkeypatch):
+    g = new_signed_graph(100, [])
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated a matrix")
+
+    monkeypatch.setattr(np, "zeros", no_allocation)
+    with pytest.raises(ValueError, match="10100 nodes"):
+        neighbourhood_corona(g, g)

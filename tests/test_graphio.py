@@ -1,6 +1,7 @@
 import random
 import re
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -75,12 +76,30 @@ def test_parse_rejects_non_ascii_decimal_integers(text, line):
     assert err.value.line == line
 
 
+def _no_allocation(*args, **kwargs):
+    raise AssertionError("allocated a matrix")
+
+
+def test_parse_bounds_sizes_before_allocating(monkeypatch):
+    monkeypatch.setattr(np, "zeros", _no_allocation)
+    # 100000 nodes would need an 80 GB adjacency matrix; 5000 digits are
+    # past int()'s default digit limit
+    for text in ("100000\n", "9" * 5000 + "\n", "0004097\n"):
+        with pytest.raises(GraphParseError, match="over the limit") as err:
+            parse_graph(text)
+        assert err.value.line == 1
+    with pytest.raises(GraphParseError, match="out of range"):
+        parse_graph("2\n0 " + "9" * 5000 + "\n")
+    with pytest.raises(GraphParseError, match="out of range"):
+        parse_graph("2\n5000 6000\n")  # not read as a self-loop
+
+
 def test_parse_accepts_bare_one_as_sign():
     assert parse_graph("2\n0 1 1\n").edges() == [(0, 1, 1)]
 
 
-# the parser has no size bound yet, so generated text keeps every run of
-# ASCII digits (hence every node count) below 1000
+# generated text keeps every run of ASCII digits (hence every node
+# count) below 1000, so that no example allocates a large matrix
 _FUZZ_CHARS = st.one_of(st.sampled_from("0123+-_ #\r\n\t1\uff13x"),
                         st.characters())
 

@@ -13,9 +13,7 @@ from sgcorona.generate import (random_offset_circulant,
 from sgcorona.polys import IntPolynomial
 from sgcorona.spectra import (Spectrum, charpoly_A_corona, charpoly_L_corona,
                               charpoly_Q_corona, check_cospectral,
-                              corona_spectrum, eig_symmetric, real_roots,
-                              spectrum_A_net_regular, spectrum_A_star,
-                              spectrum_L_coregular, spectrum_Q_coregular)
+                              corona_spectrum, eig_symmetric, real_roots)
 
 X = IntPolynomial.x()
 
@@ -146,61 +144,20 @@ def test_QL_assembly_requires_regular_base():
 # ---------------------------------------------------------------------------
 # closed-form spectra
 
-def test_A_net_regular_quadratic_values():
-    # base spectrum {-1^2, 2}, copies have 2 nodes with net degree 1
-    spec1 = Spectrum([(-1.0, 2), (2.0, 1)])
-    spec2 = Spectrum([(-1.0, 1), (1.0, 1)])
-    got = spectrum_A_net_regular(spec1, 2, 1, 1, spec2)
-    s3, s33 = math.sqrt(3), math.sqrt(33)
-    want = Spectrum([(-s3, 2), ((3 - s33) / 2, 1), (-1.0, 3),
-                     (s3, 2), ((3 + s33) / 2, 1)])
-    assert got.isclose(want)
+def test_closed_form_star_on_single_node_base():
+    # a K1 base has no edges, so the corona is K1 beside a 4-leg star:
+    # the base eigenvalue 0 gives 0 and the star's {-2, 0^(3), 2}
+    k1 = new_signed_graph(1, [])
+    star = new_signed_graph(5, [(0, j, 1) for j in range(1, 5)])
+    got = corona_spectrum(k1, star, "A", "closed_form")
+    assert got.isclose(Spectrum([(-2.0, 1), (0.0, 4), (2.0, 1)]), 1e-12)
 
 
-def test_A_net_regular_zero_base_eigenvalue_degenerates():
-    # alpha = 0 collapses the quadratic to roots {0, k}
-    got = spectrum_A_net_regular(Spectrum([(0.0, 1)]), 3, 2, 1,
-                                 Spectrum([(-2.0, 2), (2.0, 1)]))
-    assert got.isclose(Spectrum([(-2.0, 2), (0.0, 1), (2.0, 1)]))
-
-
-def test_A_net_regular_rejects_wrong_pole_multiplicity():
-    with pytest.raises(ValueError):
-        spectrum_A_net_regular(Spectrum([(0.0, 1)]), 2, 1, 2,
-                               Spectrum([(-1.0, 1), (1.0, 1)]))
-
-
-def test_A_star_single_leg_agrees_with_net_regular():
-    # an all-positive 2-node copy factor is both a 1-leg star and
-    # net-regular, so the two formulas must agree
-    spec1 = Spectrum([(-1.0, 2), (2.0, 1)])
-    spec2 = Spectrum([(-1.0, 1), (1.0, 1)])
-    a = spectrum_A_star(spec1, 1, 1)
-    b = spectrum_A_net_regular(spec1, 2, 1, 1, spec2)
-    assert a.isclose(b, 1e-7)
-
-
-def test_A_star_zero_alpha_gives_sqrt_legs():
-    got = spectrum_A_star(Spectrum([(0.0, 1)]), 4, 1)
-    want = Spectrum([(-2.0, 1), (0.0, 4), (2.0, 1)])
-    assert got.isclose(want, 1e-7)
-
-
-def test_QL_coregular_match_worked_pair():
-    specQ1 = Spectrum([(1.0, 2), (4.0, 1)])
-    specQ2 = Spectrum([(0.0, 1), (2.0, 1)])
-    got = spectrum_Q_coregular(specQ1, 2, 2, 1, 1, 1, specQ2)
-    s48 = math.sqrt(48)
-    want = Spectrum([(2.0, 3), ((12 - s48) / 2, 1), (3.0, 2), (6.0, 2),
-                     ((12 + s48) / 2, 1)])
-    assert got.isclose(want)
-    specL1 = Spectrum([(0.0, 1), (3.0, 2)])
-    specL2 = Spectrum([(0.0, 1), (2.0, 1)])
-    got = spectrum_L_coregular(specL1, 2, 2, 1, 1, 1, specL2)
-    s33 = math.sqrt(33)
-    want = Spectrum([(0.0, 1), ((9 - s33) / 2, 2), (4.0, 3), (6.0, 1),
-                     ((9 + s33) / 2, 2)])
-    assert got.isclose(want)
+def test_closed_form_net_regular_on_single_node_base():
+    # a zero base eigenvalue decouples M_0 into 0 and the copy spectrum
+    k1 = new_signed_graph(1, [])
+    got = corona_spectrum(k1, c3(), "A", "closed_form")
+    assert got.isclose(Spectrum([(-1.0, 2), (0.0, 1), (2.0, 1)]), 1e-12)
 
 
 def test_closed_form_matches_theorem_on_families():
@@ -209,12 +166,43 @@ def test_closed_form_matches_theorem_on_families():
         g1 = random_regular_circulant(rng, rng.randint(1, 4))
         g2c = random_offset_circulant(rng, rng.randint(1, 4))
         g2s = random_star(rng, rng.randint(1, 3))
+        g1a = random_signed_graph(rng, rng.randint(1, 4))
         for g2 in (g2c, g2s):
             for kind in ("A", "Q", "L"):
                 fast = corona_spectrum(g1, g2, kind, "closed_form")
                 exact = corona_spectrum(g1, g2, kind, "theorem")
                 assert fast.isclose(exact, 1e-6), \
                     (kind, g1.edges(), g2.edges())
+            # the A route needs no regular base
+            fast = corona_spectrum(g1a, g2, "A", "closed_form")
+            exact = corona_spectrum(g1a, g2, "A", "theorem")
+            assert fast.isclose(exact, 1e-6), (g1a.edges(), g2.edges())
+
+
+def test_closed_form_solves_nothing_larger_than_a_factor(monkeypatch):
+    # a large copy factor must not cost one (n2+1)-square matrix per
+    # base eigenvalue: no eigenproblem handed to LAPACK may hold more
+    # entries than the larger factor's matrix
+    rng = random.Random(47)
+    pairs = [(random_signed_graph(rng, 8), random_star(rng, 100), "A"),
+             (random_regular_circulant(rng, 8),
+              random_offset_circulant(rng, 60), "Q"),
+             (random_regular_circulant(rng, 8),
+              random_offset_circulant(rng, 60), "L")]
+    want = [corona_spectrum(g1, g2, kind, "numeric")
+            for g1, g2, kind in pairs]
+    sizes = []
+    for name in ("eigvalsh", "eigh"):
+        def spy(a, *args, _f=getattr(np.linalg, name), **kw):
+            sizes.append(np.size(a))
+            return _f(a, *args, **kw)
+        monkeypatch.setattr(np.linalg, name, spy)
+    for (g1, g2, kind), exp in zip(pairs, want):
+        sizes.clear()
+        got = corona_spectrum(g1, g2, kind, "closed_form")
+        assert got.order == exp.order
+        assert got.isclose(exp, 1e-8), kind
+        assert max(sizes) <= max(g1.n, g2.n) ** 2, (kind, sizes)
 
 
 def test_dispatcher_tokens():
