@@ -32,11 +32,10 @@ from .generate import (random_balanced_graph, random_offset_circulant,
 from .graphio import (GraphParseError, parse_graph, parse_graph_file,
                       render_graph)
 from .polys import (IntPolynomial, RationalFn, poly_divexact, poly_gcd,
-                    poly_matrix_det, real_root_pairs, squarefree_factors,
-                    taylor_shift)
+                    real_root_pairs, squarefree_factors, taylor_shift)
 from .spectra import (Spectrum, charpoly_A_corona, charpoly_L_corona,
                       charpoly_Q_corona, check_cospectral, corona_spectrum,
-                      eig_symmetric, real_roots)
+                      eig_symmetric, eigenvalues, real_roots)
 from .verify import VerifyConfig, VerifyReport, run_all
 
 __version__ = "0.1.0"

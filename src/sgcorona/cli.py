@@ -20,7 +20,7 @@ from .core import is_balanced, matrix
 from .corona import neighbourhood_corona
 from .coronal import closed_form_coronal, coronal_of_graph
 from .graphio import parse_graph_file, render_graph
-from .spectra import Spectrum, check_cospectral, corona_spectrum, eig_symmetric
+from .spectra import Spectrum, corona_spectrum, eigenvalues
 from .verify import VerifyConfig, run_all
 
 __all__ = ["main", "run"]
@@ -226,15 +226,17 @@ def _cmd_cospectral(args) -> int:
     ga = parse_graph_file(args.ina)
     gb = parse_graph_file(args.inb)
     kind = _MATRIX[args.matrix]
-    ma = matrix(ga, kind)
-    mb = matrix(gb, kind)
-    same = (ga.n == gb.n) and check_cospectral(ma, mb, tol=args.tol)
+    # one eigvalsh per matrix feeds both the verdict (check_cospectral's
+    # comparison) and the reported spectra
+    va, vb = (eigenvalues(matrix(g, kind)) for g in (ga, gb))
+    same = ga.n == gb.n and all(abs(a - b) <= args.tol
+                                for a, b in zip(va, vb))
     doc = {
         "command": "cospectral",
         "matrix": args.matrix,
-        "cospectral": bool(same),
-        "spectra": [_spectrum_rows(eig_symmetric(ma)),
-                    _spectrum_rows(eig_symmetric(mb))],
+        "cospectral": same,
+        "spectra": [_spectrum_rows(Spectrum.from_values(v))
+                    for v in (va, vb)],
         "tolerance": args.tol,
         "inputs": _inputs(args.ina, args.inb),
     }

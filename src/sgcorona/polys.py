@@ -17,7 +17,6 @@ __all__ = [
     "poly_gcd",
     "poly_divexact",
     "squarefree_factors",
-    "poly_matrix_det",
     "taylor_shift",
     "real_root_pairs",
     "real_roots",
@@ -195,7 +194,8 @@ def poly_divexact(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
 
     Raises ValueError when b does not divide a.  This doubles as a
     cheap internal consistency check wherever divisibility is a
-    mathematical guarantee.
+    mathematical guarantee.  Long division stays in the integers: when
+    b divides a in Z[x], every step's quotient is an integer.
     """
     if b.is_zero:
         raise ZeroDivisionError("division by zero polynomial")
@@ -204,23 +204,20 @@ def poly_divexact(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     da, db = a.degree, b.degree
     if da < db:
         raise ValueError("not divisible: degree too small")
-    rem = [Fraction(c) for c in a.coeffs]
-    quot = [Fraction(0)] * (da - db + 1)
-    blc = Fraction(b.coeffs[-1])
+    rem = list(a.coeffs)
+    quot = [0] * (da - db + 1)
+    blc = b.coeffs[-1]
     for k in range(da - db, -1, -1):
-        q = rem[db + k] / blc
+        q, r = divmod(rem[db + k], blc)
+        if r:
+            raise ValueError("not divisible: fractional quotient")
         quot[k] = q
         if q:
             for i, bc in enumerate(b.coeffs):
                 rem[i + k] -= q * bc
     if any(rem):
         raise ValueError("not divisible: nonzero remainder")
-    out = []
-    for q in quot:
-        if q.denominator != 1:
-            raise ValueError("not divisible: fractional quotient")
-        out.append(q.numerator)
-    return IntPolynomial(out)
+    return IntPolynomial(quot)
 
 
 def _pseudo_rem(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
@@ -294,41 +291,6 @@ def squarefree_factors(p: IntPolynomial):
     if const.degree != 0:
         raise ValueError("squarefree reconstruction failed")
     return const.coeffs[0], factors
-
-
-def poly_matrix_det(mat) -> IntPolynomial:
-    """Determinant of a square matrix of IntPolynomial entries.
-
-    Fraction-free Bareiss elimination with row pivoting: every interior
-    division is exact, which poly_divexact enforces.
-    """
-    n = len(mat)
-    if n == 0:
-        return IntPolynomial((1,))
-    m = [list(row) for row in mat]
-    for row in m:
-        if len(row) != n:
-            raise ValueError("matrix must be square")
-    sign = 1
-    prev = IntPolynomial((1,))
-    for k in range(n - 1):
-        if m[k][k].is_zero:
-            for r in range(k + 1, n):
-                if not m[r][k].is_zero:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return IntPolynomial()
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * pivot - m[i][k] * m[k][j]
-                m[i][j] = poly_divexact(num, prev) if num else IntPolynomial()
-            m[i][k] = IntPolynomial()
-        prev = pivot
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
 
 
 def taylor_shift(p: IntPolynomial, c: int) -> IntPolynomial:

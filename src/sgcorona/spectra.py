@@ -5,17 +5,17 @@
 2. theorem: assemble the characteristic polynomial exactly from the
    factors' data and isolate its real roots by exact integer Descartes
    bisection (polys.real_root_pairs), so this route shares no floating
-   point with the numeric one.  With the copy factor's
-   coronal p/q in lowest terms and cofactor d = charpoly/q, the three
-   assemblies are
+   point with the numeric one.  With the copy factor's coronal p/q in
+   lowest terms, cofactor d = charpoly/q, r the base degree (0 for A;
+   Q and L require a regular base) and B = X1 - rI for X = A, Q or L,
 
-     A:  d(x)^n1 * det( q(x) (xI - A1) - p(x) A1^2 )
-     Q:  d(x-r)^n1 * det( q(x-r) ((x - n2 r)I - Q1) - p(x-r)(Q1 - rI)^2 )
-     L:  d(x-r)^n1 * det( q(x-r) ((x - n2 r)I - L1) - p(x-r)(L1 - rI)^2 )
+     charpoly = d(x-r)^n1 * det( q(x-r) ((x - n2 r)I - X1) - p(x-r) B^2 )
 
-   where r is the base degree (Q and L require a regular base).  The
-   determinants run over integer polynomials, so the result is exact
-   and must equal char_poly of the built corona coefficientwise.
+   The matrix is G(B) for one quadratic G with coefficients in Z[x], so
+   the determinant is the resultant of charpoly(B) with G: the product
+   of G(b) over the eigenvalues b of B.  It runs over integer
+   polynomials, so the result is exact and must equal char_poly of the
+   built corona coefficientwise.
 3. closed form: for a copy factor in a closed-form coronal family
    (other copy factors raise ValueError), the theorem assembly splits
    into one factor per base eigenvalue a, the characteristic polynomial
@@ -31,11 +31,12 @@ import numpy as np
 
 from .core import SignedGraph, canonical_marking, co_regularity, matrix
 from .corona import neighbourhood_corona
-from .coronal import closed_form_coronal, coronal_with_char_poly
-from .polys import IntPolynomial, poly_matrix_det, real_root_pairs, taylor_shift
+from .coronal import char_poly, closed_form_coronal, coronal_with_char_poly
+from .polys import IntPolynomial, poly_divexact, real_root_pairs, taylor_shift
 
 __all__ = [
     "Spectrum",
+    "eigenvalues",
     "eig_symmetric",
     "real_roots",
     "charpoly_A_corona",
@@ -126,9 +127,10 @@ class Spectrum:
         return f"Spectrum({list(self.pairs)})"
 
 
-def _eigvalsh(m) -> np.ndarray:
-    """Ascending eigenvalues of a symmetric matrix.  eigvalsh reads only
-    one triangle, so squareness and symmetry are checked here."""
+def eigenvalues(m) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric matrix; raises ValueError
+    when m is not square and symmetric (eigvalsh reads only one
+    triangle, so both are checked here)."""
     a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
@@ -141,7 +143,7 @@ def _eigvalsh(m) -> np.ndarray:
 def eig_symmetric(m, cluster_tol: float = CLUSTER_TOL) -> Spectrum:
     """Numeric spectrum of a symmetric matrix; raises ValueError when m
     is not square and symmetric."""
-    return Spectrum.from_values(_eigvalsh(m), cluster_tol)
+    return Spectrum.from_values(eigenvalues(m), cluster_tol)
 
 
 def real_roots(p: IntPolynomial) -> Spectrum:
@@ -160,28 +162,29 @@ def real_roots(p: IntPolynomial) -> Spectrum:
 def _corona_char_poly(g1: SignedGraph, g2: SignedGraph, kind: str,
                       r: int) -> IntPolynomial:
     """Shared engine for X = A, Q or L with base degree r (0 for A):
-    d(x-r)^n1 * det( q(x-r) ((x - n2 r) I - X1) - p(x-r) (X1 - rI)^2 )."""
+    d(x-r)^n1 * det G(B), where B = X1 - rI and G(z) = c2 z^2 + c1 z +
+    c0 with c2 = -p(x-r), c1 = -q(x-r), c0 = q(x-r) (x - (n2+1) r).
+
+    det G(B) is the product of G(b) over the eigenvalues b of B, the
+    resultant of chi_B with G (Cohen 1993, section 3.3).  Horner on
+    chi_B modulo G in Z[x][z] ends with c2^j * chi_B = a z + b (mod G)
+    for j = n1 - 1, so det G(B) = (c0 a^2 - c1 a b + c2 b^2) / c2^j.
+    """
+    chi = char_poly(matrix(g1, kind))
+    if g1.n == 0 or g2.n == 0:
+        return chi  # with either factor empty the corona is g1
     cor, _, dfac = coronal_with_char_poly(matrix(g2, kind),
                                           canonical_marking(g2))
-    p, q = cor.num, cor.den
-    if r != 0:
-        p = taylor_shift(p, -r)
-        q = taylor_shift(q, -r)
-        dfac = taylor_shift(dfac, -r)
-    x1 = matrix(g1, kind)
-    b = x1 - r * np.identity(g1.n, dtype=np.int64)
-    quad = b @ b
-    qx = q.shift(1) - g2.n * r * q
-    rows = []
-    for i in range(g1.n):
-        row = []
-        for j in range(g1.n):
-            e = (-int(x1[i, j])) * q + (-int(quad[i, j])) * p
-            if i == j:
-                e = e + qx
-            row.append(e)
-        rows.append(row)
-    det = poly_matrix_det(rows)
+    p, q, dfac = (taylor_shift(f, -r) for f in (cor.num, cor.den, dfac))
+    c2, c1 = -p, -q
+    c0 = q.shift(1) - (g2.n + 1) * r * q
+    chi_b = taylor_shift(chi, r).coeffs
+    one = IntPolynomial((1,))
+    a, b, scale = one, chi_b[-2] * one, one
+    for e in reversed(chi_b[:-2]):
+        scale = scale * c2
+        a, b = c2 * b - c1 * a, e * scale - c0 * a
+    det = poly_divexact(c0 * a * a - c1 * a * b + c2 * b * b, scale)
     out = det * dfac**g1.n
     assert out.is_monic and out.degree == g1.n * (g2.n + 1)
     return out
@@ -301,6 +304,6 @@ def check_cospectral(m1, m2, tol: float = 1e-8) -> bool:
     b = np.asarray(m2)
     if a.shape != b.shape:
         return False
-    va = _eigvalsh(a)
-    vb = _eigvalsh(b)
+    va = eigenvalues(a)
+    vb = eigenvalues(b)
     return bool(np.all(np.abs(va - vb) <= tol))

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -141,6 +142,22 @@ def test_cospectral_command(files, capsys, tmp_path):
     assert run(["cospectral", "--matrix", "a",
                 files["c3"], str(c3neg)]) == 0
     assert _doc(capsys)["cospectral"] is False
+
+
+def test_cospectral_diagonalises_each_matrix_once(files, capsys,
+                                                  monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a):
+        calls.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    assert run(["cospectral", "--matrix", "a",
+                files["c3"], files["c3"]]) == 0
+    assert _doc(capsys)["cospectral"] is True
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "abc"])

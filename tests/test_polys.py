@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from sgcorona.core import matrix, new_signed_graph
 from sgcorona.corona import neighbourhood_corona
+from sgcorona.coronal import char_poly
 from sgcorona.polys import (IntPolynomial, RationalFn, poly_divexact,
-                            poly_gcd, poly_matrix_det, real_root_pairs,
-                            squarefree_factors, taylor_shift)
+                            poly_gcd, real_root_pairs, squarefree_factors,
+                            taylor_shift)
 from sgcorona.spectra import charpoly_A_corona
 
 X = IntPolynomial.x()
@@ -52,6 +53,8 @@ def test_divexact():
     assert poly_divexact(num, X - 3) == X**2 + X + 7
     with pytest.raises(ValueError):
         poly_divexact(X**2 + 1, X - 1)
+    with pytest.raises(ValueError, match="fractional"):
+        poly_divexact(X + 1, 2 * X + 2)  # the quotient is 1/2
 
 
 def test_gcd_primitive():
@@ -71,19 +74,6 @@ def test_squarefree_factorization():
     assert sorted(parts, key=lambda t: t[1]) == [(X + 2, 1), (X - 1, 3)]
     c, parts = squarefree_factors(2 * X**2)
     assert c == 2 and parts == [(X, 2)]
-
-
-def test_matrix_det_integers():
-    m = [[IntPolynomial((a,)) for a in row]
-         for row in ((2, 1, 0), (1, 3, 1), (0, 1, 4))]
-    # cofactor expansion by hand: 2*(12-1) - 1*(4-0) = 18
-    assert poly_matrix_det(m) == IntPolynomial((18,))
-
-
-def test_matrix_det_polynomials():
-    m = [[X, IntPolynomial((1,))], [IntPolynomial((1,)), X]]
-    assert poly_matrix_det(m) == X**2 - 1
-    assert poly_matrix_det([]) == IntPolynomial((1,))
 
 
 def test_taylor_shift():
@@ -134,9 +124,11 @@ D56_G2 = (6, [(0, 1, 1), (0, 3, 1), (0, 4, 1), (0, 5, 1), (1, 2, -1),
 
 def test_isolation_degree_56_pair():
     g1, g2 = new_signed_graph(*D56_G1), new_signed_graph(*D56_G2)
-    pairs = real_root_pairs(charpoly_A_corona(g1, g2))
+    f = charpoly_A_corona(g1, g2)
+    pairs = real_root_pairs(f)
     assert [m for _, m in pairs] == [1] * 56
     cor, _ = neighbourhood_corona(g1, g2)
+    assert f == char_poly(matrix(cor, "A"))
     oracle = np.linalg.eigvalsh(matrix(cor, "A").astype(float))
     assert np.max(np.abs(np.array([r for r, _ in pairs]) - oracle)) < 1e-9
 

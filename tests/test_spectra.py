@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -120,15 +121,31 @@ def test_charpoly_A_frozen_pair():
 
 def test_charpolys_match_built_corona_random():
     rng = random.Random(17)
-    for _ in range(40):
-        g1 = random_signed_graph(rng, rng.randint(1, 4))
-        g1r = random_regular_circulant(rng, rng.randint(1, 4))
-        g2 = random_signed_graph(rng, rng.randint(1, 4))
+    k1, e3 = new_signed_graph(1, []), new_signed_graph(3, [])
+    c4 = new_signed_graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)])
+    # (g1, regular g1, g2): a 1-node base, an edgeless 0-regular base,
+    # a C4 copy factor whose A-coronal 4/(x - 2) leaves a cofactor, and a
+    # K1 copy factor
+    pinned = [(k1, k1, p2()), (e3, e3, c3()), (c3(), c3(), c4),
+              (p2(), p2(), k1)]
+    drawn = ((random_signed_graph(rng, rng.randint(1, 4)),
+              random_regular_circulant(rng, rng.randint(1, 4)),
+              random_signed_graph(rng, rng.randint(1, 4)))
+             for _ in range(40))
+    for g1, g1r, g2 in itertools.chain(pinned, drawn):
         cor, _ = neighbourhood_corona(g1, g2)
         assert charpoly_A_corona(g1, g2) == char_poly(matrix(cor, "A"))
         corr, _ = neighbourhood_corona(g1r, g2)
         assert charpoly_Q_corona(g1r, g2) == char_poly(matrix(corr, "Q"))
         assert charpoly_L_corona(g1r, g2) == char_poly(matrix(corr, "L"))
+
+
+def test_assembly_on_zero_node_factors():
+    # with either factor empty the corona is the base factor
+    k0 = new_signed_graph(0, [])
+    assert charpoly_A_corona(k0, p2()) == 1
+    assert charpoly_A_corona(c3(), k0) == char_poly(matrix(c3(), "A"))
+    assert charpoly_Q_corona(c3(), k0) == X**3 - 6 * X**2 + 9 * X - 4
 
 
 def test_QL_assembly_requires_regular_base():
