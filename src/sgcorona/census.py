@@ -1,9 +1,13 @@
 """Edge counts, triangle counts, and balance for corona products.
 
 The closed formulas here never build the corona; they combine
-statistics of the two factors.  Every formula is validated against
-direct enumeration on the built product by the test suite and the
-verify harness.
+statistics of the two factors.  Every formula is validated against a
+direct count on the built product (closed 3-walks of its sign masks)
+by the test suite and the verify harness.
+
+The counts are float32 products of 0/1 masks, exact because every
+entry is an integer at most n <= MAX_NODES < 2**24; their masked sums,
+at most n**3 < 2**53, are accumulated in float64.
 
 All cross terms follow the sign law of the corona construction: a
 cross edge from base node u into the copy owned by its neighbour b,
@@ -65,9 +69,24 @@ class PatternCounts:
     pm: int = 0
     mm: int = 0
 
-    @property
-    def total(self) -> int:
-        return self.pp + self.pm + self.mm
+
+# rows per product block: at most one _BLOCK x n product is alive
+_BLOCK = 256
+
+
+def _sign_masks(x: np.ndarray):
+    """The float32 0/1 masks of the +1 and of the -1 entries of x."""
+    return (x == 1).astype(np.float32), (x == -1).astype(np.float32)
+
+
+def _masked_sums(x: np.ndarray, y: np.ndarray, masks):
+    """Sum of (x y^T) * mask over all entries, one int per mask."""
+    sums = np.zeros(len(masks))
+    for r in range(0, x.shape[0], _BLOCK):
+        prod = x[r:r + _BLOCK] @ y.T
+        sums += [np.einsum("ij,ij->", prod, mask[r:r + _BLOCK],
+                           dtype=np.float64) for mask in masks]
+    return [int(v) for v in sums]
 
 
 def edge_census_direct(g: SignedGraph) -> EdgeCensus:
@@ -80,23 +99,18 @@ def edge_mark_breakdown(g: SignedGraph, sign: int) -> PatternCounts:
     """Edges with the given sign, split by their endpoint marks."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    mu = canonical_marking(g)
-    counts = [0, 0, 0]
-    for u, v, s in g.edges():
-        if s == sign:
-            counts[int(mu[u] < 0) + int(mu[v] < 0)] += 1
-    return PatternCounts(*counts)
+    e = (g.adj == sign).astype(np.int64)
+    plus = (canonical_marking(g) > 0).astype(np.int64)
+    minus = 1 - plus
+    return PatternCounts(int(plus @ e @ plus) // 2, int(plus @ e @ minus),
+                         int(minus @ e @ minus) // 2)
 
 
 def _owner_sign_split(g: SignedGraph):
     """Counts of (node, incident edge) pairs with sign(e)*mark(node)
     equal to +1 resp. -1.  Their sum is 2m."""
-    mu = canonical_marking(g)
-    bp = bm = 0
-    for u, v, s in g.edges():
-        bp += int(s * mu[u] > 0) + int(s * mu[v] > 0)
-        bm += int(s * mu[u] < 0) + int(s * mu[v] < 0)
-    return bp, bm
+    c = g.adj * canonical_marking(g)
+    return int(np.count_nonzero(c == 1)), int(np.count_nonzero(c == -1))
 
 
 def edge_census_formula(g1: SignedGraph, g2: SignedGraph) -> EdgeCensus:
@@ -120,43 +134,28 @@ def edge_census_formula(g1: SignedGraph, g2: SignedGraph) -> EdgeCensus:
 
 
 def triad_census_direct(g: SignedGraph) -> TriadCensus:
-    """Enumerate all triangles and bucket them by negative-edge count."""
-    a = g.adj
-    t = [0, 0, 0, 0]
-    for u in range(g.n):
-        au = a[u]
-        for v in range(u + 1, g.n):
-            if a[u, v] == 0:
-                continue
-            ks = np.nonzero((au != 0) & (a[v] != 0))[0]
-            ks = ks[ks > v]
-            if ks.size == 0:
-                continue
-            base = int(a[u, v] < 0)
-            negs = base + (au[ks] < 0).astype(np.int64) + (a[v][ks] < 0)
-            for cnt in negs.tolist():
-                t[cnt] += 1
-    return TriadCensus(*t)
+    """Triangles by negative-edge count, from the closed 3-walks of the
+    edge masks P, M: tr(P^3) = 6 t0, tr(P^2 M) = 2 t1, tr(M^2 P) = 2 t2
+    and tr(M^3) = 6 t3."""
+    p, m = _sign_masks(g.adj)
+    ppp, ppm = _masked_sums(p, p, (p, m))
+    mmp, mmm = _masked_sums(m, m, (p, m))
+    return TriadCensus(ppp // 6, ppm // 2, mmp // 2, mmm // 6)
 
 
 def _wedge_split(g: SignedGraph):
     """Count (edge {u,v}, common neighbour b) incidences, split by edge
-    sign and by the pattern of (sign(ub)*mark(b), sign(vb)*mark(b))."""
-    mu = canonical_marking(g)
-    a = g.adj
-    pos = [0, 0, 0]
-    neg = [0, 0, 0]
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            s = a[u, v]
-            if s == 0:
-                continue
-            bucket = pos if s > 0 else neg
-            for b in np.nonzero((a[u] != 0) & (a[v] != 0))[0].tolist():
-                x = int(a[u, b] * mu[b])
-                y = int(a[v, b] * mu[b])
-                bucket[int(x < 0) + int(y < 0)] += 1
-    return PatternCounts(*pos), PatternCounts(*neg)
+    sign and by the pattern of (sign(ub)*mark(b), sign(vb)*mark(b)).
+    With C+- the masks of c[u, b] = sign(ub)*mark(b), (C+ C+^T)[u, v]
+    counts pattern pp; summing over ordered (u, v) counts pp and mm
+    twice, pm once."""
+    cp, cm = _sign_masks(g.adj * canonical_marking(g))
+    edge_masks = _sign_masks(g.adj)
+    pp = _masked_sums(cp, cp, edge_masks)
+    pm = _masked_sums(cp, cm, edge_masks)
+    mm = _masked_sums(cm, cm, edge_masks)
+    return tuple(PatternCounts(pp[i] // 2, pm[i], mm[i] // 2)
+                 for i in (0, 1))
 
 
 def triad_census_formula(g1: SignedGraph, g2: SignedGraph) -> TriadCensus:
@@ -194,24 +193,21 @@ def total_triads_formula(g1: SignedGraph, g2: SignedGraph) -> int:
 
     Triangles are: those of the base, those inside copies, one per
     (ordered adjacent base pair, factor edge), and one per (base edge,
-    common neighbour, factor node).
+    common neighbour, factor node).  Each base triangle gives each of
+    its three edges one common neighbour, so the last kind number
+    3 * n2 * T1.
     """
     t1 = triad_census_direct(g1).total
     t2 = triad_census_direct(g2).total
-    a = g1.adj
-    common = 0
-    for u in range(g1.n):
-        for v in range(u + 1, g1.n):
-            if a[u, v] != 0:
-                common += int(np.count_nonzero((a[u] != 0) & (a[v] != 0)))
-    return t1 + g1.n * t2 + g2.m * 2 * g1.m + g2.n * common
+    return t1 + g1.n * t2 + 2 * g1.m * g2.m + 3 * g2.n * t1
 
 
 def inconsistent_edges(g: SignedGraph):
     """Edges whose sign differs from the product of their endpoint
     marks, i.e. sign(uv)*mark(u)*mark(v) = -1."""
     mu = canonical_marking(g)
-    return [(u, v, s) for u, v, s in g.edges() if s * mu[u] * mu[v] < 0]
+    iu, iv = np.nonzero(np.triu(g.adj * np.outer(mu, mu)) < 0)
+    return list(zip(iu.tolist(), iv.tolist(), g.adj[iu, iv].tolist()))
 
 
 def corona_balance_criterion(g1: SignedGraph, g2: SignedGraph) -> bool:

@@ -132,18 +132,6 @@ class CoRegularity:
     r: int | None
     k: int | None
 
-    @property
-    def is_regular(self) -> bool:
-        return self.r is not None
-
-    @property
-    def is_net_regular(self) -> bool:
-        return self.k is not None
-
-    @property
-    def is_coregular(self) -> bool:
-        return self.r is not None and self.k is not None
-
 
 def co_regularity(g: SignedGraph) -> CoRegularity:
     if g.n == 0:

@@ -1,7 +1,7 @@
 """Self-verification harness.
 
 Every closed-form result in the package is checked here against an
-independent route: formulas against enumeration, exact polynomial
+independent route: formulas against direct counts, exact polynomial
 assemblies against characteristic polynomials of explicitly built
 matrices, closed-form spectra against root isolation, and the
 eigensolver against trace invariants.  All randomness flows from one
@@ -225,7 +225,7 @@ def check_block_identity(rng: random.Random, trials: int = 200,
 
 def check_edge_census(rng: random.Random, trials: int = 500,
                       max_n: int = 6) -> CheckResult:
-    """Edge census formula vs direct enumeration on the built corona,
+    """Edge census formula vs a direct count on the built corona,
     exact."""
     res = CheckResult("edge_census")
     t_all = time.perf_counter()
@@ -244,8 +244,8 @@ def check_edge_census(rng: random.Random, trials: int = 500,
 
 def check_triad_census(rng: random.Random, trials: int = 500,
                        max_n: int = 6) -> CheckResult:
-    """Triad census formula and total-triad count vs enumeration on
-    the built corona, exact."""
+    """Triad census formula and total-triad count vs the direct count
+    (closed 3-walks of the sign masks) on the built corona, exact."""
     res = CheckResult("triad_census")
     t_all = time.perf_counter()
     for _ in range(trials):

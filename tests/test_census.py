@@ -1,11 +1,15 @@
+import itertools
 import random
 
-from sgcorona.census import (EdgeCensus, TriadCensus, corona_balance_criterion,
-                             edge_census_direct, edge_census_formula,
-                             edge_mark_breakdown, inconsistent_edges,
-                             total_triads_formula, triad_census_direct,
-                             triad_census_formula)
-from sgcorona.core import is_balanced, new_signed_graph
+import numpy as np
+
+from sgcorona.census import (EdgeCensus, PatternCounts, TriadCensus,
+                             corona_balance_criterion, edge_census_direct,
+                             edge_census_formula, edge_mark_breakdown,
+                             inconsistent_edges, total_triads_formula,
+                             triad_census_direct, triad_census_formula)
+from sgcorona.core import (MAX_NODES, SignedGraph, canonical_marking,
+                           is_balanced, new_signed_graph)
 from sgcorona.corona import neighbourhood_corona
 from sgcorona.generate import random_balanced_graph, random_signed_graph
 
@@ -149,3 +153,61 @@ def test_balance_criterion_matches_oracle_random():
         cor, _ = neighbourhood_corona(g1, g2)
         assert corona_balance_criterion(g1, g2) == is_balanced(cor), \
             (g1.edges(), g2.edges())
+
+
+# Reference counts by plain enumeration, for the matrix-product counts.
+
+def brute_triads(g):
+    """Every node triple that forms a triangle, bucketed by its number
+    of negative edges."""
+    t = [0, 0, 0, 0]
+    for u, v, w in itertools.combinations(range(g.n), 3):
+        signs = (g.adj[u, v], g.adj[v, w], g.adj[u, w])
+        if all(signs):
+            t[sum(int(s < 0) for s in signs)] += 1
+    return TriadCensus(*t)
+
+
+def loop_mark_breakdown(g, sign):
+    mu = canonical_marking(g)
+    counts = [0, 0, 0]
+    for u, v, s in g.edges():
+        if s == sign:
+            counts[int(mu[u] < 0) + int(mu[v] < 0)] += 1
+    return PatternCounts(*counts)
+
+
+def loop_inconsistent_edges(g):
+    mu = canonical_marking(g)
+    return [(u, v, s) for u, v, s in g.edges() if s * mu[u] * mu[v] < 0]
+
+
+def test_counts_match_enumeration_random():
+    rng = random.Random(31)
+    graphs = [new_signed_graph(0, []), new_signed_graph(1, []),
+              new_signed_graph(7, [])]
+    graphs += [random_signed_graph(rng, rng.randint(0, 10), rng.random())
+               for _ in range(240)]
+    for g in graphs:
+        assert triad_census_direct(g) == brute_triads(g), g.edges()
+        for sign in (1, -1):
+            assert edge_mark_breakdown(g, sign) == \
+                loop_mark_breakdown(g, sign), g.edges()
+        assert inconsistent_edges(g) == loop_inconsistent_edges(g)
+
+
+def test_exactness_bounds_cover_max_nodes():
+    # float32 products of 0/1 masks are exact while every entry (at most
+    # n) stays below 2**24; their float64 sums while n**3 stays below
+    # 2**53
+    assert MAX_NODES < 2**24
+    assert MAX_NODES**3 < 2**53
+
+
+def test_complete_graph_triads_are_exact():
+    n = 300
+    k = np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64)
+    assert triad_census_direct(SignedGraph(n, k)) == \
+        TriadCensus(4_455_100, 0, 0, 0)
+    assert triad_census_direct(SignedGraph(n, -k)) == \
+        TriadCensus(0, 0, 0, 4_455_100)

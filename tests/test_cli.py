@@ -3,12 +3,18 @@ import io
 import itertools
 import json
 import math
+import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sgcorona.cli import run
+from sgcorona.generate import random_signed_graph
+from sgcorona.graphio import render_graph
+
+DATA = Path(__file__).resolve().parents[1] / "data"
 
 C3 = "3\n0 1 +\n1 2 +\n0 2 +\n"
 P2 = "2\n0 1 +\n"
@@ -120,6 +126,52 @@ def test_stats_command(files, capsys):
     assert doc["edge_census"]["formula"]["total"] == 18
     assert doc["triad_census"]["agree"] is True
     assert doc["triad_census"]["total_formula"] == 13
+
+
+# pinned stats --triads output per factor pair (a data/ pair, or the
+# seed of a random 12 x 12 pair): corona nodes, (positive, negative)
+# edges, (t0, t1, t2, t3)
+STATS_PINNED = {
+    ("c3", "c3"): (12, (30, 0), (31, 0, 0, 0)),
+    ("c3", "p2"): (9, (18, 0), (13, 0, 0, 0)),
+    ("c3", "p2neg"): (9, (3, 15), (1, 0, 6, 6)),
+    ("p2", "c3"): (8, (13, 0), (8, 0, 0, 0)),
+    ("p2", "p2"): (6, (7, 0), (2, 0, 0, 0)),
+    ("p2", "p2neg"): (6, (1, 6), (0, 0, 0, 2)),
+    ("p2neg", "c3"): (8, (12, 1), (8, 0, 0, 0)),
+    ("p2neg", "p2"): (6, (6, 1), (2, 0, 0, 0)),
+    ("p2neg", "p2neg"): (6, (0, 7), (0, 0, 0, 2)),
+    1: (156, (548, 532), (360, 1120, 1218, 326)),
+    2: (156, (563, 457), (428, 1070, 791, 268)),
+}
+
+
+@pytest.mark.parametrize("case", list(STATS_PINNED), ids=str)
+def test_stats_output_is_pinned(case, capsys, tmp_path):
+    if isinstance(case, int):
+        # a seeded pair of random 12-node factors
+        rng = random.Random(case)
+        paths = []
+        for name in ("first", "second"):
+            path = tmp_path / f"{name}.sg"
+            path.write_text(render_graph(random_signed_graph(rng, 12)),
+                            encoding="utf-8")
+            paths.append(str(path))
+    else:
+        paths = [str(DATA / f"{name}.sg") for name in case]
+    assert run(["stats", "--triads", *paths]) == 0
+    doc = _doc(capsys)
+    del doc["inputs"]
+    nodes, (pos, neg), t = STATS_PINNED[case]
+    edges = {"total": pos + neg, "positive": pos, "negative": neg}
+    triads = dict(zip(("t0", "t1", "t2", "t3"), t), total=sum(t))
+    assert doc == {
+        "command": "stats",
+        "corona_nodes": nodes,
+        "edge_census": {"formula": edges, "direct": edges, "agree": True},
+        "triad_census": {"formula": triads, "direct": triads,
+                         "total_formula": sum(t), "agree": True},
+    }
 
 
 def test_coronal_command(files, capsys):

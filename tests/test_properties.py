@@ -6,13 +6,14 @@ import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
 from sgcorona.census import corona_balance_criterion, edge_census_direct, \
-    edge_census_formula
+    edge_census_formula, triad_census_direct
 from sgcorona.core import is_balanced, is_connected, matrix, \
     new_signed_graph, switch
 from sgcorona.corona import neighbourhood_corona
 from sgcorona.coronal import char_poly
 from sgcorona.graphio import parse_graph, render_graph
 from sgcorona.polys import IntPolynomial, poly_divexact, poly_gcd
+from test_census import brute_triads
 
 
 @st.composite
@@ -64,6 +65,12 @@ def test_corona_shape_and_edge_count(g1, g2):
 def test_edge_census_formula_is_exact(g1, g2):
     cor, _ = neighbourhood_corona(g1, g2)
     assert edge_census_formula(g1, g2) == edge_census_direct(cor)
+
+
+@settings(deadline=None)
+@given(signed_graphs(min_n=0, max_n=9))
+def test_triad_census_matches_brute_force(g):
+    assert triad_census_direct(g) == brute_triads(g)
 
 
 @settings(max_examples=40, deadline=None)
