@@ -49,7 +49,7 @@ class SignedGraph:
             raise ValueError("adjacency must be symmetric")
         if np.any(np.diagonal(mat) != 0):
             raise ValueError("self-loops are not allowed")
-        if np.any(np.abs(mat) > 1):
+        if mat.size and (mat.min() < -1 or mat.max() > 1):
             raise ValueError("adjacency entries must be -1, 0 or +1")
         mat.setflags(write=False)
         object.__setattr__(self, "n", n)

@@ -2,9 +2,11 @@
 
 The coronal of a symmetric integer matrix M with mark vector mu is the
 rational function mu^T (xI - M)^{-1} mu.  It is computed exactly: the
-Faddeev-LeVerrier recurrence yields both det(xI - M) and the adjugate
-adj(xI - M) as integer polynomial data, and the coronal is their ratio
-in lowest terms.
+Faddeev-LeVerrier recurrence runs in int64 modulo primes just below
+2^25, as many as Hadamard's bound on the coefficients needs, and CRT
+rebuilds the integer characteristic polynomials.  The coronal's
+numerator mu^T adj(xI - M) mu is det(xI - M) - det(xI - M - mu mu^T),
+and the coronal is numerator over det(xI - M) in lowest terms.
 
 The six closed forms cover net-regular graphs with a constant marking
 and stars with arbitrary leg signs; each is an exact RationalFn equal
@@ -13,9 +15,12 @@ to the generic computation on any valid instance (enforced by tests).
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 
-from .core import (SignedGraph, canonical_marking, co_regularity,
+from .core import (MAX_NODES, SignedGraph, canonical_marking, co_regularity,
                    degree_profile, matrix)
 from .polys import IntPolynomial, RationalFn, poly_divexact
 
@@ -35,57 +40,137 @@ __all__ = [
 ]
 
 
-def _to_object_int_matrix(m) -> np.ndarray:
-    a = np.asarray(m)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    if np.issubdtype(a.dtype, np.floating):
-        if not np.all(a == np.round(a)):
-            raise ValueError("matrix entries must be integers")
-        a = a.astype(np.int64)
-    out = np.empty(a.shape, dtype=object)
-    for i in range(a.shape[0]):
-        for j in range(a.shape[1]):
-            out[i, j] = int(a[i, j])
+# The primes run in batches, so that no int64 stack of the recurrence
+# holds more entries than this, unless one prime's matrices alone do.
+_STACK_ENTRIES = 1 << 16
+
+
+def _as_int64(x) -> np.ndarray:
+    a = np.asarray(x)
+    if a.dtype.kind == "f":
+        ok = np.all((a == np.round(a)) & (a >= -2.0**63) & (a < 2.0**63))
+    else:
+        ok = a.dtype.kind in "bi" or a.dtype.kind == "u" and not (
+            a.size and a.max() >= 2**63)
+    if not ok:
+        raise ValueError("matrix entries must be integers within int64")
+    return a.astype(np.int64, copy=False)
+
+
+@functools.cache
+def _primes(count: int) -> tuple:
+    """The count largest primes below 2^25, descending; a cached half
+    is extended.  Below 2^25, n (p-1)^2 < 2^63 for n <= MAX_NODES, so
+    no int64 sum of products in the recurrence overflows."""
+    out = list(_primes(count // 2)) if count > 1 else []
+    q = out[-1] if out else 1 << 25
+    while len(out) < count:
+        q -= 1
+        if q % 2 and all(q % d for d in range(3, math.isqrt(q) + 1, 2)):
+            out.append(q)
+    return tuple(out)
+
+
+@functools.cache
+def _moduli(count: int, n: int):
+    """The primes shaped (count, 1, 1) and the inverses of 1..n modulo
+    each, shaped (n, count, 1, 1); read-only, as every caller shares
+    them."""
+    ps = _primes(count)
+    inv = [[pow(k, -1, q) for q in ps] for k in range(1, n + 1)]
+    out = (np.array(ps, dtype=np.int64).reshape(count, 1, 1),
+           np.array(inv, dtype=np.int64).reshape(n, count, 1, 1))
+    for a in out:
+        a.setflags(write=False)
     return out
+
+
+def _fl_residues(mats: np.ndarray, p: np.ndarray,
+                 inv: np.ndarray) -> np.ndarray:
+    """Faddeev-LeVerrier modulo each prime p, on every matrix at once:
+    residues (prime, matrix, k) of e_k = tr(m M_k)/k = -c_k.
+
+    M_{k+1} = m M_k - e_k I keeps the entries of M_k in (-p, p) and
+    those of m in [0, p), so every matmul sum stays below n (p-1)^2."""
+    b, (g, n) = p.shape[0], mats.shape[:2]
+    a = mats % p[..., None]
+    am = a.copy()
+    out = np.empty((b, g, n), dtype=np.int64)
+    for k in range(n):
+        diag = am.reshape(b, g, n * n)[..., ::n + 1]
+        e = np.add.reduce(diag, axis=2, keepdims=True) * inv[k] % p
+        out[..., k:k + 1] = e
+        if k + 1 < n:
+            diag -= e
+            am = np.matmul(a, am)
+            am %= p[..., None]
+    return out
+
+
+def _char_polys(mats: np.ndarray) -> list:
+    """Exact det(xI - M) for each matrix M of an int64 stack."""
+    g, n = mats.shape[:2]
+    if n == 0:
+        return [IntPolynomial((1,))] * g
+    # c_k is a sum of C(n, k) principal minors, each at most the product
+    # of its rows' 2-norms (Hadamard), so |c_k| <= prod_i (1 + |row_i|),
+    # never more than (1 + rho)^n for rho the largest absolute row sum.
+    # The product of the primes must pass twice that, with a bit to
+    # spare for rounding; each prime exceeds 2^24.9, because the
+    # ~130,000 primes in (2^24.9, 2^25) outnumber what n <= MAX_NODES
+    # and int64 entries can ask for.  Float64 squares cannot overflow.
+    f = mats.astype(np.float64)
+    bits = np.log2(1 + np.sqrt(np.einsum("gij,gij->gi", f, f))).sum(1).max()
+    count = int((bits + 2) / 24.9) + 1
+    p, inv = _moduli(count, n)
+    per = max(1, _STACK_ENTRIES // (g * n * n))
+    res = np.concatenate([_fl_residues(mats, p[i:i + per], inv[:, i:i + per])
+                          for i in range(0, count, per)])
+    # CRT into symmetric residues, one prime at a time
+    ps, res = _primes(count), res.reshape(count, g * n).tolist()
+    e, m = res[0], ps[0]
+    for q, r in zip(ps[1:], res[1:]):
+        t = pow(m, -1, q)
+        e = [x + m * ((y - x) * t % q) for x, y in zip(e, r)]
+        m *= q
+    c = [m - x if 2 * x > m else -x for x in e]
+    return [IntPolynomial(c[i * n:(i + 1) * n][::-1] + [1]) for i in range(g)]
 
 
 def _faddeev_leverrier(m, marks=None):
     """Exact char poly of m, plus (optionally) the numerator of the
     coronal for the given mark vector.
 
-    The recurrence M_1 = I, c_{n-k} = -tr(m M_k)/k, M_{k+1} = m M_k +
-    c_{n-k} I runs over python integers.  adj(xI - m) equals
-    sum_k M_{k+1} x^{n-1-k}, so marks^T adj(xI - m) marks accumulates
-    one integer per step.  The trace divisions are exact and the final
-    matrix recurrence step must vanish; both are asserted.
+    The recurrence M_1 = I, c_k = -tr(m M_k)/k, M_{k+1} = m M_k + c_k I
+    gives det(xI - m) = x^n + c_1 x^(n-1) + ... + c_n.  It runs in int64
+    modulo as many primes as Hadamard's bound on the coefficients needs,
+    one batched matmul per step, and CRT rebuilds the coefficients
+    (Cohen 1993, section 2.2).  The numerator needs no adjugate: by the
+    matrix determinant lemma, marks^T adj(xI - m) marks = det(xI - m) -
+    det(xI - m - marks marks^T), and both matrices share one stack.
     """
-    a = _to_object_int_matrix(m)
+    a = np.asarray(m)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("matrix must be square")
     n = a.shape[0]
-    ident = np.identity(n, dtype=object)
-    mu = None
-    if marks is not None:
-        mu = np.asarray(marks, dtype=object).reshape(n)
-    coeffs_hi = [1]
-    num_hi = []
-    mk = ident
-    for k in range(1, n + 1):
-        if mu is not None:
-            num_hi.append(int(mu @ mk @ mu))
-        am = a @ mk
-        tr = int(np.trace(am))
-        q, r = divmod(-tr, k)
-        assert r == 0, "trace step must divide exactly"
-        coeffs_hi.append(q)
-        mk = am + q * ident
-    assert not np.any(mk), "recurrence must terminate at the zero matrix"
-    f = IntPolynomial(list(reversed(coeffs_hi)))
-    num = IntPolynomial(list(reversed(num_hi))) if mu is not None else None
-    return f, num
+    if n > MAX_NODES:
+        raise ValueError(f"matrix is larger than {MAX_NODES}x{MAX_NODES}")
+    a = _as_int64(a)
+    if marks is None:
+        return _char_polys(a[None])[0], None
+    mu = _as_int64(marks).reshape(n)
+    if n and max(-int(a.min()), int(a.max())) + \
+            max(-int(mu.min()), int(mu.max()))**2 >= 2**63:
+        raise ValueError("matrix plus marks outer product must fit in int64")
+    f, g = _char_polys(np.array([a, a + np.multiply.outer(mu, mu)]))
+    return f, f - g
 
 
 def char_poly(m) -> IntPolynomial:
-    """Exact characteristic polynomial det(xI - m), monic of degree n."""
+    """Exact characteristic polynomial det(xI - m), monic of degree n.
+
+    Raises ValueError when m is not square, has more than MAX_NODES
+    rows, or has entries that are not integers within int64."""
     f, _ = _faddeev_leverrier(m)
     return f
 

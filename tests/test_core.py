@@ -1,9 +1,13 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 
-from sgcorona.core import (CoRegularity, canonical_marking, co_regularity,
-                           connected_components, degree_profile, is_balanced,
-                           is_connected, matrix, negated, new_signed_graph,
-                           relabel, switch, switching_certificate)
+from sgcorona.core import (CoRegularity, SignedGraph, canonical_marking,
+                           co_regularity, connected_components,
+                           degree_profile, is_balanced, is_connected, matrix,
+                           negated, new_signed_graph, relabel, switch,
+                           switching_certificate)
 from sgcorona.coronal import char_poly
 
 
@@ -24,6 +28,23 @@ def test_construction_validation():
         new_signed_graph(2, [(0, 2, 1)])
     with pytest.raises(ValueError, match="sign"):
         new_signed_graph(2, [(0, 1, 2)])
+
+
+def test_adjacency_checks_allocate_no_second_int64_matrix():
+    for bad in ([[0, 2], [2, 0]], [[0, -2], [-2, 0]]):
+        with pytest.raises(ValueError, match="entries"):
+            SignedGraph(2, bad)
+    assert SignedGraph(0, np.zeros((0, 0))).n == 0
+    n = 1024
+    adj = np.triu(np.random.default_rng(7).choice((-1, 1), size=(n, n)), 1)
+    adj = adj + adj.T
+    tracemalloc.start()
+    try:
+        SignedGraph(n, adj)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * adj.nbytes
 
 
 def test_edges_and_m():

@@ -3,8 +3,9 @@ import random
 import numpy as np
 import pytest
 
-from sgcorona.core import canonical_marking, co_regularity, matrix, \
-    new_signed_graph
+from sgcorona import coronal
+from sgcorona.core import MAX_NODES, canonical_marking, co_regularity, \
+    matrix, new_signed_graph
 from sgcorona.coronal import (char_poly, closed_form_coronal,
                               coronal_generic, coronal_A_net_regular,
                               coronal_A_star, coronal_L_coregular,
@@ -29,11 +30,113 @@ def test_char_poly_frozen():
     assert char_poly(np.zeros((2, 2), dtype=int)) == X**2
 
 
+def fl_reference(m, marks=None):
+    """Faddeev-LeVerrier over python integers, with the adjugate:
+    M_1 = I, c_k = -tr(m M_k)/k, M_{k+1} = m M_k + c_k I, and
+    adj(xI - m) = sum_k M_{k+1} x^(n-1-k), so marks^T adj(xI - m)
+    marks accumulates one integer per step.  Returns (char poly,
+    coronal numerator or None)."""
+    a = np.array([[int(v) for v in row] for row in np.asarray(m).tolist()],
+                 dtype=object).reshape(np.shape(m))
+    n = a.shape[0]
+    ident = np.identity(n, dtype=object)
+    mu = None
+    if marks is not None:
+        mu = np.array([int(v) for v in marks], dtype=object).reshape(n)
+    coeffs_hi, num_hi = [1], []
+    mk = ident
+    for k in range(1, n + 1):
+        if mu is not None:
+            num_hi.append(int(mu @ mk @ mu))
+        am = a @ mk
+        q, r = divmod(-int(np.trace(am)), k)
+        assert r == 0, "trace step must divide exactly"
+        coeffs_hi.append(q)
+        mk = am + q * ident
+    assert not np.any(mk), "recurrence must terminate at the zero matrix"
+    num = IntPolynomial(num_hi[::-1]) if mu is not None else None
+    return IntPolynomial(coeffs_hi[::-1]), num
+
+
 def test_char_poly_rejects_bad_input():
     with pytest.raises(ValueError):
         char_poly(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         char_poly(np.array([[0.5]]))
+    for bad in ([[2**63]], [[-2**63 - 1]], [[2**70, 0], [0, 1]],
+                np.array([[1e30]]), np.array([[np.inf]]),
+                np.array([[np.nan]]), [["1"]], np.array([[1j]])):
+        with pytest.raises(ValueError):
+            char_poly(bad)
+    # the int64 bound holds only up to MAX_NODES; a broadcast view
+    # keeps the oversized input from being allocated
+    with pytest.raises(ValueError, match="larger"):
+        char_poly(np.broadcast_to(np.int8(0), (MAX_NODES + 1,) * 2))
+    with pytest.raises(ValueError):
+        coronal_generic(np.array([[2**62]]), [2**31])
+    assert char_poly(np.zeros((0, 0), dtype=int)) == IntPolynomial((1,))
+    # entries at the ends of int64 are in range
+    lo, hi = -2**63, 2**63 - 1
+    assert char_poly(np.array([[lo]])) == X - lo
+    m = np.array([[lo, hi], [hi, 0]])
+    assert char_poly(m) == fl_reference(m)[0] == X**2 - lo * X - hi * hi
+
+
+def test_char_poly_matches_reference():
+    rng = np.random.default_rng(23)
+    cases = [np.zeros((0, 0), dtype=np.int64), np.array([[7]]),
+             np.array([[-10**6]])]
+    for _ in range(300):
+        n = int(rng.integers(1, 13))
+        big = int(rng.choice([1, 30, 10**6]))
+        m = rng.integers(-big, big + 1, size=(n, n))
+        cases.append(m + m.T if rng.random() < 0.5 else m)
+    largest = 0
+    for m in cases:
+        want = fl_reference(m)[0]
+        assert char_poly(m) == want, m.tolist()
+        largest = max(largest, *map(abs, want.coeffs))
+    # no single prime below 2^25 holds such coefficients: a real CRT
+    assert largest > 2**25
+    for n in range(1, 8):
+        assert char_poly(np.ones((n, n), dtype=int)) == X**(n - 1) * (X - n)
+    d = rng.integers(-10**12, 10**12, size=8)
+    want = IntPolynomial((1,))
+    for v in d.tolist():
+        want = want * (X - v)
+    assert char_poly(np.diag(d)) == want
+
+
+def test_coronal_numerator_matches_adjugate():
+    # det(xI - M) - det(xI - M - mu mu^T) = mu^T adj(xI - M) mu
+    rng = np.random.default_rng(29)
+    for n in range(13):
+        for _ in range(4):
+            m = rng.integers(-2, 3, size=(n, n))
+            mu = rng.choice([-1, 1], size=n)
+            want = fl_reference(m, mu)
+            assert coronal._faddeev_leverrier(m, mu) == want
+            assert coronal_generic(m, mu) == RationalFn(want[1], want[0])
+
+
+def test_char_poly_stacks_stay_bounded(monkeypatch):
+    # a 60-node matrix with entries up to 1e4 needs dozens of primes;
+    # they run in batches, so no array handed to matmul may hold more
+    # than the stack limit
+    rng = np.random.default_rng(31)
+    m = rng.integers(-10**4, 10**4 + 1, size=(60, 60))
+    sizes = []
+
+    def spy(*args, _f=np.matmul, **kw):
+        sizes.append(max(np.size(x) for x in args))
+        return _f(*args, **kw)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    got = char_poly(m)
+    monkeypatch.undo()
+    assert max(sizes) <= coronal._STACK_ENTRIES
+    assert len(sizes) > 59  # more than one batch of primes
+    assert got == fl_reference(m)[0]
 
 
 def test_generic_coronal_frozen():

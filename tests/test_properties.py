@@ -14,6 +14,7 @@ from sgcorona.coronal import char_poly
 from sgcorona.graphio import parse_graph, render_graph
 from sgcorona.polys import IntPolynomial, poly_divexact, poly_gcd
 from test_census import brute_triads
+from test_coronal import fl_reference
 
 
 @st.composite
@@ -120,7 +121,7 @@ def test_polynomial_evaluation_basics(p, t):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(1, 5), st.data())
+@given(st.integers(1, 10), st.data())
 def test_char_poly_matches_numpy_on_random_symmetric(n, data):
     rows = data.draw(st.lists(
         st.lists(st.integers(-3, 3), min_size=n, max_size=n),
@@ -128,5 +129,6 @@ def test_char_poly_matches_numpy_on_random_symmetric(n, data):
     m = np.array(rows)
     m = m + m.T
     f = char_poly(m)
+    assert f == fl_reference(m)[0]
     coeffs = np.poly(m.astype(float))[::-1]  # low-first
     assert np.allclose(np.array(f.coeffs, dtype=float), coeffs, atol=1e-6)
